@@ -24,7 +24,6 @@
 #include "src/chain/blockchain.h"
 #include "src/chain/mempool.h"
 #include "src/chain/pow.h"
-#include "src/chain/tx_conflict.h"
 #include "src/chain/wallet.h"
 #include "src/common/worker_pool.h"
 #include "src/core/environment.h"
@@ -426,43 +425,30 @@ ForkValidationRun RunForkValidation(int forks, int depth, int txs_per_block,
   return run;
 }
 
-// ---- section 2d: intra-block parallel execution ---------------------------
+// ---- section 2d: block execution -----------------------------------------
 //
-// One wide block of pairwise-independent funded transfers (a single
-// conflict-free wave — the best case for ApplyBlockBodyParallel) is
-// applied repeatedly to the same base state: once through the serial
-// oracle, then through the parallel executor at each thread count. The
-// receipts digest and post-state liquid value are deterministic witnesses;
-// any divergence across paths or thread counts fails the run. Wall-clock
-// speedup over the serial loop is the PR 7 headline number.
-
-struct BlockExecThreadRun {
-  int threads = 0;
-  double wall_ms = 0;
-  double txs_per_sec = 0;
-  double speedup = 0;  ///< serial_wall_ms / wall_ms.
-};
+// One wide block of pairwise-independent funded transfers is applied
+// repeatedly to the same base state through ApplyBlockBody, the one
+// execution path validators run. The receipts digest and post-state liquid
+// value are deterministic witnesses; txs/sec is the wall-clock rate.
 
 struct BlockExecRun {
   int body_txs = 0;
   int repeats = 0;
-  size_t waves = 0;            ///< Deterministic: conflict-graph depth.
   std::string receipts_digest; ///< Deterministic witness over all receipts.
   chain::Amount post_liquid = 0;  ///< Deterministic post-state witness.
-  bool thread_invariant = true;
+  bool ok = true;  ///< Assembly and every execution succeeded.
   double serial_wall_ms = 0;
   double serial_txs_per_sec = 0;
-  std::vector<BlockExecThreadRun> per_thread;
 };
 
-BlockExecRun RunBlockExecution(int body_txs, int repeats,
-                               const std::vector<int>& thread_counts) {
+BlockExecRun RunBlockExecution(int body_txs, int repeats) {
   chain::ChainParams params = chain::TestChainParams();
   params.difficulty_bits = 4;
   params.max_block_txs = static_cast<size_t>(body_txs);
 
   // One funded key per transaction: every transfer consumes its own
-  // allocation, so the body is one wide conflict-free wave.
+  // allocation.
   std::vector<crypto::KeyPair> keys;
   std::vector<chain::TxOutput> allocations;
   for (int i = 0; i < body_txs; ++i) {
@@ -487,11 +473,10 @@ BlockExecRun RunBlockExecution(int body_txs, int repeats,
   run.repeats = repeats;
   if (!block.ok()) {
     std::fprintf(stderr, "block execution: assembly failed\n");
-    run.thread_invariant = false;
+    run.ok = false;
     return run;
   }
   run.body_txs = static_cast<int>(block->txs.size()) - 1;
-  run.waves = chain::BuildExecutionWaves(block->txs).size();
   const chain::LedgerState& base = source.head()->state;
 
   const auto digest_of = [](const std::vector<chain::Receipt>& receipts) {
@@ -503,137 +488,24 @@ BlockExecRun RunBlockExecution(int body_txs, int repeats,
     return crypto::Hash256::Of(all).ToHex();
   };
 
-  {  // Serial oracle baseline.
-    const Clock::time_point t0 = Clock::now();
-    for (int rep = 0; rep < repeats; ++rep) {
-      chain::LedgerState state = base;
-      auto receipts = chain::ApplyBlockBody(&state, *block, params);
-      if (!receipts.ok()) {
-        run.thread_invariant = false;
-        return run;
-      }
-      if (rep == 0) {
-        run.receipts_digest = digest_of(*receipts);
-        run.post_liquid = state.LiquidValue();
-      }
+  const Clock::time_point t0 = Clock::now();
+  for (int rep = 0; rep < repeats; ++rep) {
+    chain::LedgerState state = base;
+    auto receipts = chain::ApplyBlockBody(&state, *block, params);
+    if (!receipts.ok()) {
+      run.ok = false;
+      return run;
     }
-    run.serial_wall_ms = ElapsedMs(t0);
+    if (rep == 0) {
+      run.receipts_digest = digest_of(*receipts);
+      run.post_liquid = state.LiquidValue();
+    }
   }
+  run.serial_wall_ms = ElapsedMs(t0);
   const double total_txs =
       static_cast<double>(run.body_txs) * static_cast<double>(repeats);
   run.serial_txs_per_sec =
       run.serial_wall_ms > 0 ? total_txs / (run.serial_wall_ms / 1000.0) : 0;
-
-  for (int threads : thread_counts) {
-    common::WorkerPool pool(threads);
-    BlockExecThreadRun per;
-    per.threads = pool.threads();
-    const Clock::time_point t0 = Clock::now();
-    for (int rep = 0; rep < repeats; ++rep) {
-      chain::LedgerState state = base;
-      auto receipts = chain::ApplyBlockBodyParallel(&state, *block, params,
-                                                    &pool);
-      if (!receipts.ok() || digest_of(*receipts) != run.receipts_digest ||
-          state.LiquidValue() != run.post_liquid) {
-        run.thread_invariant = false;
-      }
-    }
-    per.wall_ms = ElapsedMs(t0);
-    per.txs_per_sec = per.wall_ms > 0 ? total_txs / (per.wall_ms / 1000.0) : 0;
-    per.speedup = per.wall_ms > 0 ? run.serial_wall_ms / per.wall_ms : 0;
-    run.per_thread.push_back(per);
-  }
-  return run;
-}
-
-// ---- section 2e: deep-chain catch-up --------------------------------------
-//
-// A purely linear chain (the worst case for SubmitBlocks' cross-fork
-// parallelism: every round is one block wide) with wide transfer bodies.
-// Width-1 rounds hand the batch pool down into intra-block execution, so
-// catch-up replay now scales with threads even without forks. Head hash
-// and acceptance are the deterministic self-check.
-
-struct CatchupThreadRun {
-  int threads = 0;
-  double wall_ms = 0;
-  double blocks_per_sec = 0;
-  double speedup = 0;  ///< threads=1 wall / this wall.
-};
-
-struct CatchupRun {
-  int depth = 0;
-  int txs_per_block = 0;
-  size_t blocks = 0;
-  std::string head_hash;
-  bool thread_invariant = true;
-  std::vector<CatchupThreadRun> per_thread;  ///< First entry is threads=1.
-};
-
-CatchupRun RunDeepCatchup(int depth, int txs_per_block,
-                          const std::vector<int>& thread_counts) {
-  chain::ChainParams params = chain::TestChainParams();
-  params.difficulty_bits = 4;
-  params.max_block_txs = static_cast<size_t>(txs_per_block);
-
-  std::vector<crypto::KeyPair> keys;
-  std::vector<chain::TxOutput> allocations;
-  for (int i = 0; i < txs_per_block; ++i) {
-    keys.push_back(crypto::KeyPair::FromSeed(15'000 + static_cast<uint64_t>(i)));
-    allocations.push_back(chain::TxOutput{1'000'000, keys.back().public_key()});
-  }
-  const crypto::KeyPair miner = crypto::KeyPair::FromSeed(14'999);
-
-  chain::Blockchain source(params, allocations);
-  Rng rng(2718);
-  TimePoint now = 0;
-  uint64_t nonce = 1;
-  std::vector<chain::Block> batch;
-  for (int d = 0; d < depth; ++d) {
-    now += 100;
-    std::vector<chain::Transaction> txs;
-    for (int j = 0; j < txs_per_block; ++j) {
-      chain::Wallet wallet(keys[static_cast<size_t>(j)], source.id());
-      auto tx = wallet.BuildTransfer(
-          source.StateAtHead(),
-          keys[static_cast<size_t>((j + 1) % txs_per_block)].public_key(),
-          /*amount=*/10, /*fee=*/1, nonce++);
-      if (tx.ok()) txs.push_back(*tx);
-    }
-    auto block = source.AssembleBlock(source.head()->hash, txs,
-                                      miner.public_key(), now, &rng);
-    if (!block.ok() || !source.SubmitBlock(*block, now).ok()) {
-      std::fprintf(stderr, "deep catchup: mining failed at depth %d\n", d);
-      break;
-    }
-    batch.push_back(*block);
-  }
-
-  CatchupRun run;
-  run.depth = depth;
-  run.txs_per_block = txs_per_block;
-  run.blocks = batch.size();
-  run.head_hash = source.head()->hash.ToHex();
-
-  for (int threads : thread_counts) {
-    chain::Blockchain replica(params, allocations);
-    CatchupThreadRun per;
-    per.threads = threads;
-    const Clock::time_point t0 = Clock::now();
-    auto result = replica.SubmitBlocks(batch, now, threads);
-    per.wall_ms = ElapsedMs(t0);
-    if (result.accepted != batch.size() ||
-        replica.head()->hash.ToHex() != run.head_hash) {
-      run.thread_invariant = false;
-    }
-    per.blocks_per_sec = per.wall_ms > 0 ? static_cast<double>(run.blocks) /
-                                               (per.wall_ms / 1000.0)
-                                         : 0;
-    const double base_wall =
-        run.per_thread.empty() ? per.wall_ms : run.per_thread.front().wall_ms;
-    per.speedup = per.wall_ms > 0 ? base_wall / per.wall_ms : 0;
-    run.per_thread.push_back(per);
-  }
   return run;
 }
 
@@ -690,9 +562,6 @@ int main(int argc, char** argv) {
   const uint64_t pow_headers = context.smoke ? 4 : 16;
   const int exec_body_txs = context.smoke ? 48 : 192;
   const int exec_repeats = context.smoke ? 30 : 150;
-  const int catchup_depth = context.smoke ? 15 : 100;
-  const int catchup_txs = 24;
-  const std::vector<int> exec_threads = {1, 2, 4, 8};
 
   benchutil::PrintHeader(
       "Engine hot paths — blocks/sec vs chain length, mining-sim rate,\n"
@@ -760,35 +629,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  BlockExecRun exec = RunBlockExecution(exec_body_txs, exec_repeats,
-                                        exec_threads);
-  std::printf("\nblock execution: %d-tx block x%d (%zu wave%s) — serial "
-              "%.1f ms (%.0f txs/s)\n",
-              exec.body_txs, exec.repeats, exec.waves,
-              exec.waves == 1 ? "" : "s", exec.serial_wall_ms,
+  BlockExecRun exec = RunBlockExecution(exec_body_txs, exec_repeats);
+  std::printf("\nblock execution: %d-tx block x%d — %.1f ms (%.0f txs/s)\n",
+              exec.body_txs, exec.repeats, exec.serial_wall_ms,
               exec.serial_txs_per_sec);
-  for (const BlockExecThreadRun& per : exec.per_thread) {
-    std::printf("block execution[%d threads]: %.1f ms — %.0f txs/s "
-                "(%.2fx)\n",
-                per.threads, per.wall_ms, per.txs_per_sec, per.speedup);
-  }
-  if (!exec.thread_invariant) {
-    std::fprintf(stderr,
-                 "block execution: parallel path diverged from serial\n");
-    return 1;
-  }
-
-  CatchupRun catchup = RunDeepCatchup(catchup_depth, catchup_txs,
-                                      exec_threads);
-  for (const CatchupThreadRun& per : catchup.per_thread) {
-    std::printf("deep catchup[%d threads]: %zu blocks x %d txs — %.1f ms "
-                "(%.0f blocks/s, %.2fx)\n",
-                per.threads, catchup.blocks, catchup.txs_per_block,
-                per.wall_ms, per.blocks_per_sec, per.speedup);
-  }
-  if (!catchup.thread_invariant) {
-    std::fprintf(stderr,
-                 "deep catchup: replay diverged across thread counts\n");
+  if (!exec.ok) {
+    std::fprintf(stderr, "block execution: a block body failed to apply\n");
     return 1;
   }
 
@@ -871,18 +717,9 @@ int main(int argc, char** argv) {
   runner::Json exec_json = runner::Json::Object();
   exec_json.Set("body_txs", exec.body_txs);
   exec_json.Set("repeats", exec.repeats);
-  exec_json.Set("waves", exec.waves);
   exec_json.Set("receipts_digest", exec.receipts_digest);
   exec_json.Set("post_liquid", exec.post_liquid);
-  exec_json.Set("thread_invariant", exec.thread_invariant);
   results.Set("block_execution", std::move(exec_json));
-  runner::Json catchup_json = runner::Json::Object();
-  catchup_json.Set("depth", catchup.depth);
-  catchup_json.Set("txs_per_block", catchup.txs_per_block);
-  catchup_json.Set("blocks", catchup.blocks);
-  catchup_json.Set("head_hash", catchup.head_hash);
-  catchup_json.Set("thread_invariant", catchup.thread_invariant);
-  results.Set("deep_catchup", std::move(catchup_json));
   runner::Json pow_json = runner::Json::Object();
   pow_json.Set("difficulty_bits", pow_bits);
   pow_json.Set("headers", pow.headers);
@@ -920,27 +757,7 @@ int main(int argc, char** argv) {
   runner::Json exec_wall = runner::Json::Object();
   exec_wall.Set("serial_wall_ms", exec.serial_wall_ms);
   exec_wall.Set("serial_txs_per_sec", exec.serial_txs_per_sec);
-  runner::Json exec_threads_wall = runner::Json::Array();
-  for (const BlockExecThreadRun& per : exec.per_thread) {
-    runner::Json cell = runner::Json::Object();
-    cell.Set("threads", per.threads);
-    cell.Set("wall_ms", per.wall_ms);
-    cell.Set("txs_per_sec", per.txs_per_sec);
-    cell.Set("speedup", per.speedup);
-    exec_threads_wall.Push(std::move(cell));
-  }
-  exec_wall.Set("per_thread", std::move(exec_threads_wall));
   wall.Set("block_execution", std::move(exec_wall));
-  runner::Json catchup_wall = runner::Json::Array();
-  for (const CatchupThreadRun& per : catchup.per_thread) {
-    runner::Json cell = runner::Json::Object();
-    cell.Set("threads", per.threads);
-    cell.Set("wall_ms", per.wall_ms);
-    cell.Set("blocks_per_sec", per.blocks_per_sec);
-    cell.Set("speedup", per.speedup);
-    catchup_wall.Push(std::move(cell));
-  }
-  wall.Set("deep_catchup", std::move(catchup_wall));
   runner::Json pow_wall = runner::Json::Object();
   pow_wall.Set("wall_ms", pow.wall_ms);
   pow_wall.Set("evals_per_sec", pow.evals_per_sec);

@@ -8,13 +8,8 @@ a CI runner) against the committed full-run envelope at the repo root:
     GROWTH_FACTOR times the slowest committed segment's blocks/sec.
   * PoW — the fresh evals/sec must reach at least POW_FACTOR times the
     committed rate.
-  * block execution — the best fresh txs/sec across the serial run and
-    every thread count must reach at least EXEC_FACTOR times the
-    committed best, and the fresh run's parallel-vs-serial equivalence
-    verdicts (block_execution and deep_catchup thread_invariant) must
-    hold. The floor rides the *best* rate so it is meaningful both on
-    many-core runners (where the parallel path wins) and single-core
-    ones (where the serial path does).
+  * block execution — the fresh serial txs/sec must reach at least
+    EXEC_FACTOR times the committed rate.
 
 The committed envelope is the floors' source of truth — landing a faster
 full run automatically tightens them. GROWTH_FACTOR (default 0.5)
@@ -110,26 +105,11 @@ def check(name, fresh, committed, factor):
     return ok
 
 
-def best_exec_rate(doc, path):
-    exec_wall = doc["wall"]["block_execution"]
-    rates = [exec_wall["serial_txs_per_sec"]]
-    rates.extend(cell["txs_per_sec"] for cell in exec_wall["per_thread"])
-    best = max(rates)
-    if best <= 0:
+def exec_rate(doc, path):
+    rate = doc["wall"]["block_execution"]["serial_txs_per_sec"]
+    if rate <= 0:
         raise ValueError(f"{path}: non-positive block-execution txs/sec")
-    return best
-
-
-def exec_invariants_ok(doc):
-    results = doc["results"]
-    exec_ok = bool(results["block_execution"]["thread_invariant"])
-    catchup_ok = bool(results["deep_catchup"]["thread_invariant"])
-    print(
-        "block execution parallel-vs-serial: "
-        f"{'identical' if exec_ok else 'DIVERGED'}; deep catchup: "
-        f"{'identical' if catchup_ok else 'DIVERGED'}"
-    )
-    return exec_ok and catchup_ok
+    return rate
 
 
 def min_lookup_rate(doc, path):
@@ -308,13 +288,12 @@ def main(argv):
         pow_factor,
     )
     exec_ok = check(
-        "block execution (txs/s, best over threads)",
-        best_exec_rate(fresh, fresh_path),
-        best_exec_rate(committed, committed_path),
+        "block execution (txs/s, serial)",
+        exec_rate(fresh, fresh_path),
+        exec_rate(committed, committed_path),
         exec_factor,
     )
-    invariants = exec_invariants_ok(fresh)
-    return 0 if growth_ok and pow_ok and exec_ok and invariants else 1
+    return 0 if growth_ok and pow_ok and exec_ok else 1
 
 
 if __name__ == "__main__":

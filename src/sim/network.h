@@ -42,12 +42,10 @@ struct LatencyModel {
   Duration jitter = Milliseconds(50);  ///< Uniform extra in [0, jitter].
 };
 
-/// Per-message fault injection for the typed SendMessage path. All draws
-/// come from the network's own forked run-RNG stream, and every draw is
-/// gated on its knob being active — with the model at its all-zero default
-/// the typed path consumes the exact RNG sequence of the closure Send
-/// oracle, which is how the golden fingerprints certify the message-layer
-/// migration. The closure Send path is never fault-injected.
+/// Per-message fault injection for SendMessage. All draws come from the
+/// network's own forked run-RNG stream, and every draw is gated on its knob
+/// being active — with the model at its all-zero default each send consumes
+/// exactly one latency draw, which the golden fingerprints pin.
 struct MessageFaults {
   double drop_prob = 0.0;       ///< P(a delivery copy is silently lost).
   double duplicate_prob = 0.0;  ///< P(one extra copy is delivered).
@@ -97,27 +95,16 @@ class Network {
 
   // ------------------------------------------------------------- sending
 
-  /// Sends a message from `from` to `to`; `on_deliver` runs at the receiver
-  /// after the sampled latency, unless at delivery time the receiver is
-  /// crashed or partitioned away from the sender (then the message is
-  /// silently dropped, and `dropped_count` increments).
-  void Send(NodeId from, NodeId to, std::function<void()> on_deliver);
-
-  /// Broadcast to every other node (gossip primitive used by miners).
-  void Broadcast(NodeId from, const std::function<void(NodeId)>& on_deliver);
-
-  // ------------------------------------------------------ typed messages
-
-  /// Delivery callback of the typed message path.
+  /// Delivery callback of SendMessage.
   using MessageHandler = std::function<void(const proto::Message&)>;
 
-  /// Typed counterpart of Send: routes `msg` from msg.sender to
-  /// msg.receiver, runs `handler(msg)` at the receiver after the sampled
-  /// latency, and applies the armed per-message fault model (drop,
-  /// duplication, bounded extra delay — see MessageFaults). Liveness and
-  /// partition membership are still evaluated at delivery time, exactly
-  /// like the closure path. Per-node traffic counters are updated on both
-  /// ends.
+  /// Routes `msg` from msg.sender to msg.receiver, runs `handler(msg)` at
+  /// the receiver after the sampled latency, and applies the armed
+  /// per-message fault model (drop, duplication, bounded extra delay — see
+  /// MessageFaults). Liveness and partition membership are evaluated at
+  /// delivery time: a message whose receiver is crashed or partitioned away
+  /// from the sender by then is silently dropped, and `dropped_count`
+  /// increments. Per-node traffic counters are updated on both ends.
   void SendMessage(const proto::Message& msg, MessageHandler handler);
 
   /// Arms (or clears, with the default) the per-message fault model.

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+#include <vector>
+
 #include "src/chain/blockchain.h"
 #include "src/chain/mempool.h"
 #include "src/chain/mining.h"
@@ -443,6 +447,146 @@ TEST(WalletTest, InsufficientFunds) {
   auto tx = wallet.BuildTransfer(tc.chain().StateAtHead(), Bob().public_key(),
                                  100, 1, 1);
   EXPECT_EQ(tx.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// ------------------------------------------------------- wide blocks
+
+/// `count` keys from consecutive seeds starting at `first_seed`.
+std::vector<crypto::KeyPair> Keys(int count, uint64_t first_seed) {
+  std::vector<crypto::KeyPair> keys;
+  for (int i = 0; i < count; ++i) {
+    keys.push_back(crypto::KeyPair::FromSeed(first_seed + i));
+  }
+  return keys;
+}
+
+std::vector<crypto::PublicKey> PublicKeys(
+    const std::vector<crypto::KeyPair>& keys) {
+  std::vector<crypto::PublicKey> pks;
+  for (const crypto::KeyPair& key : keys) pks.push_back(key.public_key());
+  return pks;
+}
+
+/// One transfer from each of `keys[first..first+count)` against `state`,
+/// each paying the next key; pairwise independent.
+std::vector<Transaction> Transfers(const LedgerState& state, ChainId chain,
+                                   const std::vector<crypto::KeyPair>& keys,
+                                   size_t first, size_t count,
+                                   uint64_t nonce) {
+  std::vector<Transaction> txs;
+  for (size_t i = first; i < first + count; ++i) {
+    Wallet wallet(keys[i], chain);
+    auto tx = wallet.BuildTransfer(
+        state, keys[(i + 1) % keys.size()].public_key(), 20, 1, nonce + i);
+    EXPECT_TRUE(tx.ok()) << tx.status().ToString();
+    if (tx.ok()) txs.push_back(std::move(*tx));
+  }
+  return txs;
+}
+
+/// Threads of this process per /proc/self/status; -1 where it is absent.
+int ProcessThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(BlockAssemblyTest, AssembledReceiptsMatchFullReExecution) {
+  // AssembleBlock reuses its selection-pass receipts instead of re-running
+  // the body; this pins them against the validators' ApplyBlockBody. The
+  // candidates after the eight valid transfers must all be skipped: a
+  // double spend of the first transfer's input, an exact duplicate, a
+  // copy with a broken signature, and a spend of a nonexistent output.
+  const auto keys = Keys(16, 1000);
+  TestChain tc(FastParams(), Fund(PublicKeys(keys), 1000));
+  const LedgerState& state = tc.chain().StateAtHead();
+  const auto valid = Transfers(state, 0, keys, 0, 8, /*nonce=*/0);
+  std::vector<Transaction> txs = valid;
+  auto double_spend = Wallet(keys[0], 0).BuildTransfer(
+      state, keys[2].public_key(), 30, 1, /*nonce=*/99);
+  ASSERT_TRUE(double_spend.ok());
+  txs.push_back(*double_spend);
+  txs.push_back(valid[1]);
+  Transaction corrupt = valid[2];
+  corrupt.fee += 1;
+  txs.push_back(corrupt);
+  Transaction phantom;
+  phantom.type = TxType::kTransfer;
+  phantom.inputs.push_back(OutPoint{crypto::Hash256::OfString("none"), 0});
+  phantom.outputs.push_back(TxOutput{1, keys[0].public_key()});
+  phantom.SignWith(keys[0]);
+  txs.push_back(phantom);
+
+  auto block = tc.chain().AssembleBlock(tc.chain().head()->hash, txs,
+                                        keys[0].public_key(), 100, tc.rng());
+  ASSERT_TRUE(block.ok());
+  ASSERT_EQ(block->txs.size(), valid.size() + 1);
+  for (size_t i = 0; i < valid.size(); ++i) {
+    EXPECT_EQ(block->txs[i + 1].Id(), valid[i].Id()) << "position " << i;
+  }
+  LedgerState replay = tc.chain().StateAtHead();
+  auto receipts = ApplyBlockBody(&replay, *block, tc.chain().params());
+  ASSERT_TRUE(receipts.ok());
+  ASSERT_EQ(receipts->size(), block->receipts.size());
+  for (size_t i = 0; i < receipts->size(); ++i) {
+    EXPECT_EQ((*receipts)[i].Encode(), block->receipts[i].Encode());
+  }
+  EXPECT_EQ(block->header.receipt_root, block->ComputeReceiptRoot());
+}
+
+TEST(BlockAssemblyTest, WideBlockStartsNoThreads) {
+  // Block assembly and validation run on the calling thread: a chain that
+  // assembles and accepts a full 64-transaction block leaves the process
+  // thread count where it was.
+  const int before = ProcessThreadCount();
+  if (before < 0) GTEST_SKIP() << "/proc/self/status unavailable";
+  const auto keys = Keys(64, 9000);
+  TestChain tc(FastParams(), Fund(PublicKeys(keys), 1000));
+  ASSERT_GE(tc.chain().params().max_block_txs, keys.size());
+  ASSERT_TRUE(tc.MineBlock(Transfers(tc.chain().StateAtHead(), 0, keys, 0,
+                                     keys.size(), 0))
+                  .ok());
+  EXPECT_EQ(tc.chain().head()->block.txs.size(), keys.size() + 1);
+  EXPECT_EQ(ProcessThreadCount(), before);
+}
+
+TEST(SubmitBlocksTest, DeepLinearCatchupThreadInvariant) {
+  // Grow a 10-block linear chain of 8-transfer blocks, then replay it into
+  // fresh chains through SubmitBlocks at 1 and 4 threads: every round is
+  // one block wide, and the head, statuses and post-state must not depend
+  // on the thread count.
+  const auto keys = Keys(16, 1000);
+  const auto funding = Fund(PublicKeys(keys), 1000);
+  TestChain tc(FastParams(), funding);
+  for (uint64_t round = 0; round < 10; ++round) {
+    ASSERT_TRUE(tc.MineBlock(Transfers(tc.chain().StateAtHead(), 0, keys,
+                                       round % 2 == 0 ? 0 : 8, 8, round * 100))
+                    .ok());
+    ASSERT_EQ(tc.chain().head()->block.txs.size(), 9u);
+  }
+  std::vector<Block> batch;
+  for (const BlockEntry* entry : tc.chain().arrival_order()) {
+    if (entry->height() > 0) batch.push_back(entry->block);
+  }
+  ASSERT_EQ(batch.size(), 10u);
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Blockchain replica(FastParams(), funding);
+    auto result = replica.SubmitBlocks(batch, /*arrival_time=*/1, threads);
+    EXPECT_EQ(result.accepted, batch.size());
+    ASSERT_EQ(result.statuses.size(), batch.size());
+    for (const Status& status : result.statuses) {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    }
+    EXPECT_EQ(replica.head()->hash, tc.chain().head()->hash);
+    EXPECT_TRUE(replica.StateAtHead().utxos == tc.chain().StateAtHead().utxos);
+    EXPECT_EQ(replica.StateAtHead().LiquidValue(),
+              tc.chain().StateAtHead().LiquidValue());
+  }
 }
 
 // ------------------------------------------------------------------ mining

@@ -117,8 +117,12 @@ TEST_F(MempoolTest, CapacityIsEnforcedByBlockAssemblyNotThePool) {
                                             candidates,
                                             kAlice.public_key(), 100, &rng);
   ASSERT_TRUE(block.ok());
-  // +1 coinbase; the overflow stays pooled for the next block.
-  EXPECT_LE(block->txs.size(), capacity + 1);
+  // +1 coinbase; the block takes exactly the FIFO prefix and the overflow
+  // stays pooled for the next block.
+  ASSERT_EQ(block->txs.size(), capacity + 1);
+  for (size_t i = 0; i < capacity; ++i) {
+    EXPECT_EQ(block->txs[i + 1].Id(), candidates[i].Id()) << "position " << i;
+  }
 }
 
 // ---------------------------------------------- batched ingestion

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
+#include "src/protocols/messages.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/failure.h"
 #include "src/sim/network.h"
@@ -12,6 +15,18 @@
 
 namespace ac3::sim {
 namespace {
+
+/// Sends a default (prepare-kind) envelope from `from` to `to`, running
+/// `on_deliver` at the receiver.
+void Send(Network* net, NodeId from, NodeId to,
+          std::function<void()> on_deliver) {
+  proto::Message msg;
+  msg.sender = from;
+  msg.receiver = to;
+  net->SendMessage(msg, [fn = std::move(on_deliver)](const proto::Message&) {
+    fn();
+  });
+}
 
 TEST(EventQueueTest, OrdersByTime) {
   EventQueue q;
@@ -106,7 +121,7 @@ TEST(NetworkTest, DeliversWithLatency) {
   NodeId a = net.AddNode("a");
   NodeId b = net.AddNode("b");
   TimePoint delivered_at = -1;
-  net.Send(a, b, [&] { delivered_at = sim.Now(); });
+  Send(&net, a, b, [&] { delivered_at = sim.Now(); });
   sim.RunToCompletion();
   EXPECT_EQ(delivered_at, 50);
   EXPECT_EQ(net.delivered_count(), 1u);
@@ -119,10 +134,11 @@ TEST(NetworkTest, CrashedReceiverDropsMessage) {
   NodeId b = net.AddNode("b");
   net.Crash(b);
   bool delivered = false;
-  net.Send(a, b, [&] { delivered = true; });
+  Send(&net, a, b, [&] { delivered = true; });
   sim.RunToCompletion();
   EXPECT_FALSE(delivered);
   EXPECT_EQ(net.dropped_count(), 1u);
+  EXPECT_EQ(net.traffic(b).messages_dropped, 1u);
 }
 
 TEST(NetworkTest, CrashMidFlightDropsMessage) {
@@ -131,7 +147,7 @@ TEST(NetworkTest, CrashMidFlightDropsMessage) {
   NodeId a = net.AddNode("a");
   NodeId b = net.AddNode("b");
   bool delivered = false;
-  net.Send(a, b, [&] { delivered = true; });
+  Send(&net, a, b, [&] { delivered = true; });
   sim.After(50, [&] { net.Crash(b); });  // Crashes while in flight.
   sim.RunToCompletion();
   EXPECT_FALSE(delivered);
@@ -145,7 +161,7 @@ TEST(NetworkTest, RecoveryRestoresDelivery) {
   net.Crash(b);
   net.Recover(b);
   bool delivered = false;
-  net.Send(a, b, [&] { delivered = true; });
+  Send(&net, a, b, [&] { delivered = true; });
   sim.RunToCompletion();
   EXPECT_TRUE(delivered);
 }
@@ -157,12 +173,12 @@ TEST(NetworkTest, PartitionBlocksCrossGroupTraffic) {
   NodeId b = net.AddNode("b");
   net.SetPartition(b, 1);
   bool delivered = false;
-  net.Send(a, b, [&] { delivered = true; });
+  Send(&net, a, b, [&] { delivered = true; });
   sim.RunToCompletion();
   EXPECT_FALSE(delivered);
 
   net.HealPartitions();
-  net.Send(a, b, [&] { delivered = true; });
+  Send(&net, a, b, [&] { delivered = true; });
   sim.RunToCompletion();
   EXPECT_TRUE(delivered);
 }
@@ -175,9 +191,13 @@ TEST(NetworkTest, BroadcastReachesAllOthers) {
   net.AddNode("c");
   net.AddNode("d");
   int received = 0;
-  net.Broadcast(a, [&](NodeId) { ++received; });
+  for (NodeId to = 0; to < net.node_count(); ++to) {
+    if (to != a) Send(&net, a, to, [&] { ++received; });
+  }
   sim.RunToCompletion();
   EXPECT_EQ(received, 3);
+  EXPECT_EQ(net.traffic(a).messages_sent, 3u);
+  EXPECT_EQ(net.delivered_count(), 3u);
 }
 
 TEST(NetworkTest, JitterWithinBounds) {
@@ -224,8 +244,8 @@ TEST(FailureInjectorTest, PartitionWindowIsolatesNode) {
   injector.SchedulePartition(PartitionWindow{b, 100, 200});
 
   int delivered = 0;
-  sim.At(150, [&] { net.Send(a, b, [&] { ++delivered; }); });
-  sim.At(250, [&] { net.Send(a, b, [&] { ++delivered; }); });
+  sim.At(150, [&] { Send(&net, a, b, [&] { ++delivered; }); });
+  sim.At(250, [&] { Send(&net, a, b, [&] { ++delivered; }); });
   sim.RunToCompletion();
   EXPECT_EQ(delivered, 1);  // Only the post-heal message lands.
 }
