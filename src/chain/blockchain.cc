@@ -9,6 +9,7 @@
 #include "src/chain/pow.h"
 #include "src/common/logging.h"
 #include "src/common/worker_pool.h"
+#include "src/crypto/merkle.h"
 
 namespace ac3::chain {
 
@@ -113,8 +114,7 @@ const BlockEntry* Blockchain::Get(const crypto::Hash256& hash) const {
 
 Status Blockchain::ValidateAgainstParent(const Block& block,
                                          const BlockEntry& parent,
-                                         std::vector<Receipt>* receipts,
-                                         LedgerState* post_state) const {
+                                         ValidatedBody* body) const {
   const BlockHeader& header = block.header;
   if (header.chain_id != params_.id) {
     return Status::InvalidArgument("block for another chain");
@@ -128,7 +128,11 @@ Status Blockchain::ValidateAgainstParent(const Block& block,
   if (!CheckProofOfWork(header)) {
     return Status::VerificationFailed("proof of work does not meet target");
   }
-  if (header.tx_root != block.ComputeTxRoot()) {
+  // Each id is hashed here once and reused for the root, the branch
+  // check, execution and the tx index.
+  body->tx_ids = block.TxLeaves();
+  const std::vector<crypto::Hash256>& tx_ids = body->tx_ids;
+  if (header.tx_root != crypto::MerkleTree::RootOf(tx_ids)) {
     return Status::VerificationFailed("tx merkle root mismatch");
   }
   if (header.receipt_root != block.ComputeReceiptRoot()) {
@@ -139,20 +143,23 @@ Status Blockchain::ValidateAgainstParent(const Block& block,
   }
   // No transaction may repeat on this branch.
   for (size_t i = 1; i < block.txs.size(); ++i) {
-    if (TxOnBranch(parent, block.txs[i].Id())) {
+    if (TxOnBranch(parent, tx_ids[i])) {
       return Status::InvalidArgument("transaction already included on branch");
     }
   }
 
-  *post_state = parent.state;  // Copy-on-apply snapshot.
-  AC3_ASSIGN_OR_RETURN(*receipts, ApplyBlockBody(post_state, block, params_));
+  body->post_state = parent.state;  // O(1); the body's writes clone.
+  AC3_ASSIGN_OR_RETURN(
+      body->receipts,
+      ApplyBlockBody(&body->post_state, block, tx_ids, params_));
+  const std::vector<Receipt>& receipts = body->receipts;
 
   // The block's declared receipts must match deterministic re-execution.
-  if (receipts->size() != block.receipts.size()) {
+  if (receipts.size() != block.receipts.size()) {
     return Status::VerificationFailed("receipt count mismatch");
   }
-  for (size_t i = 0; i < receipts->size(); ++i) {
-    if ((*receipts)[i].Encode() != block.receipts[i].Encode()) {
+  for (size_t i = 0; i < receipts.size(); ++i) {
+    if (receipts[i].Encode() != block.receipts[i].Encode()) {
       return Status::VerificationFailed("receipt mismatch at index " +
                                         std::to_string(i));
     }
@@ -170,20 +177,16 @@ Status Blockchain::SubmitBlock(const Block& block, TimePoint arrival_time) {
     return Status::NotFound("parent block unknown (orphan)");
   }
 
-  std::vector<Receipt> receipts;
-  LedgerState post_state;
-  AC3_RETURN_IF_ERROR(
-      ValidateAgainstParent(block, *parent, &receipts, &post_state));
-  CommitValidated(block, hash, parent, std::move(receipts),
-                  std::move(post_state), arrival_time);
+  ValidatedBody body;
+  AC3_RETURN_IF_ERROR(ValidateAgainstParent(block, *parent, &body));
+  CommitValidated(block, hash, parent, std::move(body), arrival_time);
   return Status::OK();
 }
 
 void Blockchain::CommitValidated(const Block& block,
                                  const crypto::Hash256& hash,
                                  const BlockEntry* parent,
-                                 std::vector<Receipt> receipts,
-                                 LedgerState post_state,
+                                 ValidatedBody body,
                                  TimePoint arrival_time) {
   BlockEntry entry;
   entry.block = block;
@@ -192,16 +195,16 @@ void Blockchain::CommitValidated(const Block& block,
       parent->total_work + WorkForDifficulty(block.header.difficulty_bits);
   entry.arrival_time = arrival_time;
   entry.arrival_seq = next_arrival_seq_++;
-  entry.state = std::move(post_state);
+  entry.state = std::move(body.post_state);
   entry.parent = parent;
   entry.skip = GetAncestor(parent, SkipHeightFor(block.header.height));
   entry.included_tx_count = parent->included_tx_count + block.txs.size();
   for (uint32_t i = 0; i < block.txs.size(); ++i) {
     const Transaction& tx = block.txs[i];
-    entry.tx_index[tx.Id()] = i;
+    entry.tx_index[body.tx_ids[i]] = i;
     if (tx.type == TxType::kCall) {
-      entry.calls.push_back(
-          CallRecord{tx.contract_id, tx.function, i, receipts[i].success});
+      entry.calls.push_back(CallRecord{tx.contract_id, tx.function, i,
+                                       body.receipts[i].success});
     }
   }
 
@@ -259,18 +262,15 @@ Blockchain::BatchSubmitResult Blockchain::SubmitBlocks(
 
   struct ValidationSlot {
     Status status;
-    std::vector<Receipt> receipts;
-    LedgerState post_state;
+    ValidatedBody body;
   };
   std::vector<size_t> to_validate;
   std::vector<ValidationSlot> validated;
   std::unordered_set<crypto::Hash256> claimed;  // Hashes validating per round.
   const std::function<void(size_t)> validate_one = [&](size_t r) {
     const size_t i = to_validate[r];
-    validated[r].status =
-        ValidateAgainstParent(blocks[i], *Get(parents[i]),
-                              &validated[r].receipts,
-                              &validated[r].post_state);
+    validated[r].status = ValidateAgainstParent(blocks[i], *Get(parents[i]),
+                                                &validated[r].body);
   };
   // The shared worker-pool primitive: lazily spawned on the first round
   // with >= 2 validations, reused (two barrier hops) across later rounds,
@@ -337,8 +337,7 @@ Blockchain::BatchSubmitResult Blockchain::SubmitBlocks(
         result.statuses[i] = Status::AlreadyExists("block already known");
       } else if (validated[r].status.ok()) {
         CommitValidated(blocks[i], hashes[i], Get(parents[i]),
-                        std::move(validated[r].receipts),
-                        std::move(validated[r].post_state), arrival_time);
+                        std::move(validated[r].body), arrival_time);
         ++result.accepted;
       } else {
         result.statuses[i] = std::move(validated[r].status);
@@ -437,28 +436,31 @@ Result<Block> Blockchain::AssembleBlock(
 
   BlockEnv env{params_.id, parent->block.header.height + 1, now};
 
-  // Selection pass: FIFO, skip invalid / duplicate transactions. The
-  // per-candidate scratch snapshot is O(1) thanks to the persistent state.
+  // Selection pass: FIFO, skip invalid / duplicate transactions. Each
+  // candidate is applied straight to `working` (one O(1) copy of the
+  // parent state per block): ApplyTransaction is failure-atomic, so a
+  // rejected candidate leaves no trace. Slot 0 of `tx_ids` is the
+  // coinbase's, filled in below.
   LedgerState working = parent->state;
   std::vector<const Transaction*> chosen;
   std::vector<Receipt> chosen_receipts;
+  std::vector<crypto::Hash256> tx_ids(1);
   std::set<crypto::Hash256> chosen_ids;
   Amount total_fees = 0;
   for (const Transaction* tx : candidates) {
     if (chosen.size() >= params_.max_block_txs) break;
     const crypto::Hash256 tx_id = tx->Id();
     if (TxOnBranch(*parent, tx_id) || chosen_ids.count(tx_id) > 0) continue;
-    LedgerState scratch = working;  // Roll back cleanly on failure.
-    auto receipt = ApplyTransaction(&scratch, *tx, env);
+    auto receipt = ApplyTransaction(&working, *tx, tx_id, env);
     if (!receipt.ok()) {
       AC3_LOG(kDebug) << params_.name << ": skip tx " << tx_id.ShortHex()
                       << " — " << receipt.status().ToString();
       continue;
     }
-    working = std::move(scratch);
     chosen_receipts.push_back(std::move(*receipt));
     chosen.push_back(tx);
     chosen_ids.insert(tx_id);
+    tx_ids.push_back(tx_id);
     total_fees += tx->fee;
   }
 
@@ -490,14 +492,15 @@ Result<Block> Blockchain::AssembleBlock(
   // still re-derives them on every submission, and the golden determinism
   // fingerprints pin the block hashes.
   Receipt coinbase_receipt;
-  coinbase_receipt.tx_id = block.txs[0].Id();
+  tx_ids[0] = block.txs[0].Id();
+  coinbase_receipt.tx_id = tx_ids[0];
   coinbase_receipt.note = "coinbase";
   block.receipts.reserve(1 + chosen_receipts.size());
   block.receipts.push_back(std::move(coinbase_receipt));
   for (Receipt& receipt : chosen_receipts) {
     block.receipts.push_back(std::move(receipt));
   }
-  block.header.tx_root = block.ComputeTxRoot();
+  block.header.tx_root = crypto::MerkleTree::RootOf(tx_ids);
   block.header.receipt_root = block.ComputeReceiptRoot();
   if (mine) MineHeader(&block.header, rng);
   return block;

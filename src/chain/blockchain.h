@@ -168,7 +168,9 @@ class Blockchain {
 
   /// Builds a valid block on `parent_hash` from `candidates` (FIFO,
   /// capacity-capped, structurally-invalid and already-included ones
-  /// skipped), mines its PoW, and returns it WITHOUT submitting.
+  /// skipped), mines its PoW, and returns it WITHOUT submitting. Every
+  /// candidate runs through the failure-atomic ApplyTransaction on one
+  /// working copy of the parent state, and each candidate is hashed once.
   Result<Block> AssembleBlock(const crypto::Hash256& parent_hash,
                               const std::vector<Transaction>& candidates,
                               const crypto::PublicKey& miner,
@@ -186,20 +188,28 @@ class Blockchain {
                               Rng* rng, bool mine = true) const;
 
  private:
+  /// What validation derives from a block body and commit consumes: the
+  /// transaction ids (hashed once per validation), the re-derived
+  /// receipts, and the post-state.
+  struct ValidatedBody {
+    std::vector<crypto::Hash256> tx_ids;
+    std::vector<Receipt> receipts;
+    LedgerState post_state;
+  };
+
   /// Full validation of `block` against its parent entry: PoW, linkage,
   /// roots, capacity, branch-duplicate checks, then transaction execution
   /// (ApplyBlockBody) and declared-receipt equality.
   Status ValidateAgainstParent(const Block& block, const BlockEntry& parent,
-                               std::vector<Receipt>* receipts,
-                               LedgerState* post_state) const;
+                               ValidatedBody* body) const;
 
   /// Stores a block that already passed ValidateAgainstParent: builds the
   /// BlockEntry, indexes it, and applies the longest-chain rule (head
   /// listeners fire from here). The serial commit half of both SubmitBlock
   /// and SubmitBlocks.
   void CommitValidated(const Block& block, const crypto::Hash256& hash,
-                       const BlockEntry* parent, std::vector<Receipt> receipts,
-                       LedgerState post_state, TimePoint arrival_time);
+                       const BlockEntry* parent, ValidatedBody body,
+                       TimePoint arrival_time);
 
   /// True when `entry` lies on the branch ending at `tip`.
   bool OnBranch(const BlockEntry& tip, const BlockEntry* entry) const;

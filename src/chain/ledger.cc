@@ -70,13 +70,13 @@ void EnsureBuiltinContracts() {
   std::call_once(builtin_contracts_once, contracts::RegisterBuiltinContracts);
 }
 
-/// Checks input ownership and computes the total input value.
-Result<Amount> ConsumeInputs(LedgerState* state, const Transaction& tx) {
+/// Checks that every input exists, is distinct and belongs to the signer;
+/// returns the total input value. Reads the state only.
+Result<Amount> CheckInputs(const LedgerState& state, const Transaction& tx) {
   if (tx.inputs.empty()) {
     return Status::InvalidArgument("non-coinbase transaction needs inputs");
   }
   Amount total = 0;
-  // Validate first (no partial mutation on failure).
   for (size_t i = 0; i < tx.inputs.size(); ++i) {
     const OutPoint& in = tx.inputs[i];
     // A repeated outpoint would be summed twice but erased once — minting
@@ -86,7 +86,7 @@ Result<Amount> ConsumeInputs(LedgerState* state, const Transaction& tx) {
         return Status::InvalidArgument("duplicate input outpoint");
       }
     }
-    const TxOutput* output = state->utxos.Find(in);
+    const TxOutput* output = state.utxos.Find(in);
     if (output == nullptr) {
       return Status::InvalidArgument("input not in UTXO set (double spend?)");
     }
@@ -96,8 +96,12 @@ Result<Amount> ConsumeInputs(LedgerState* state, const Transaction& tx) {
     }
     total += output->value;
   }
-  for (const OutPoint& in : tx.inputs) state->SpendUtxo(in);
   return total;
+}
+
+/// Spends inputs that CheckInputs accepted.
+void SpendInputs(LedgerState* state, const Transaction& tx) {
+  for (const OutPoint& in : tx.inputs) state->SpendUtxo(in);
 }
 
 void CreateOutputs(LedgerState* state, const crypto::Hash256& tx_id,
@@ -120,6 +124,12 @@ bool IsRevert(const Status& status) {
 
 Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
                                  const BlockEnv& env) {
+  return ApplyTransaction(state, tx, tx.Id(), env);
+}
+
+Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
+                                 const crypto::Hash256& tx_id,
+                                 const BlockEnv& env) {
   EnsureBuiltinContracts();
   if (tx.chain_id != env.chain_id) {
     return Status::InvalidArgument("transaction targets another chain");
@@ -128,26 +138,28 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
     return Status::VerificationFailed("bad transaction signature");
   }
 
-  const crypto::Hash256 tx_id = tx.Id();
   Receipt receipt;
   receipt.tx_id = tx_id;
 
+  // Every branch runs all of its checks before its first write, so an
+  // error return leaves `state` exactly as it was.
   switch (tx.type) {
     case TxType::kCoinbase:
       return Status::InvalidArgument("coinbase outside block head position");
 
     case TxType::kTransfer: {
-      AC3_ASSIGN_OR_RETURN(Amount in_total, ConsumeInputs(state, tx));
+      AC3_ASSIGN_OR_RETURN(Amount in_total, CheckInputs(*state, tx));
       if (in_total != tx.TotalOutput() + tx.fee) {
         return Status::InvalidArgument("transfer value not conserved");
       }
+      SpendInputs(state, tx);
       CreateOutputs(state, tx_id, tx.outputs);
       receipt.note = "transfer";
       return receipt;
     }
 
     case TxType::kDeploy: {
-      AC3_ASSIGN_OR_RETURN(Amount in_total, ConsumeInputs(state, tx));
+      AC3_ASSIGN_OR_RETURN(Amount in_total, CheckInputs(*state, tx));
       if (in_total != tx.TotalOutput() + tx.fee + tx.contract_value) {
         return Status::InvalidArgument("deploy value not conserved");
       }
@@ -164,6 +176,7 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
         // Malformed deployments never make it into a block.
         return deployed.status();
       }
+      SpendInputs(state, tx);
       CreateOutputs(state, tx_id, tx.outputs);
       state->contracts.Put(tx_id, *deployed);
       receipt.contract_id = tx_id;
@@ -175,12 +188,13 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
     case TxType::kCall: {
       AC3_ASSIGN_OR_RETURN(contracts::ContractPtr contract,
                            state->GetContract(tx.contract_id));
-      AC3_ASSIGN_OR_RETURN(Amount in_total, ConsumeInputs(state, tx));
+      AC3_ASSIGN_OR_RETURN(Amount in_total, CheckInputs(*state, tx));
       if (in_total != tx.TotalOutput() + tx.fee) {
         return Status::InvalidArgument("call value not conserved");
       }
-      CreateOutputs(state, tx_id, tx.outputs);
 
+      // Contracts never read the ledger, so the call can run before the
+      // inputs are spent.
       std::vector<contracts::Payout> payouts;
       contracts::CallContext ctx;
       ctx.chain_id = env.chain_id;
@@ -192,21 +206,28 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
 
       receipt.contract_id = tx.contract_id;
       auto outcome = contract->Call(tx.function, tx.payload, ctx);
+      if (!outcome.ok() && !IsRevert(outcome.status())) {
+        return outcome.status();
+      }
+      if (outcome.ok()) {
+        // Conservation across the contract boundary: value paid out plus
+        // value still locked must equal the value locked before the call.
+        Amount paid = 0;
+        for (const contracts::Payout& payout : payouts) paid += payout.value;
+        if (paid + outcome->next->locked_value() != contract->locked_value()) {
+          return Status::Internal("contract violated value conservation");
+        }
+      }
+
+      // Every check passed: inputs and fee are consumed even on a revert.
+      SpendInputs(state, tx);
+      CreateOutputs(state, tx_id, tx.outputs);
       if (!outcome.ok()) {
-        if (!IsRevert(outcome.status())) return outcome.status();
-        // Reverted: fee consumed, contract unchanged.
+        // Reverted: contract unchanged.
         receipt.success = false;
         receipt.state_digest = contract->StateDigest();
         receipt.note = outcome.status().ToString();
         return receipt;
-      }
-
-      // Conservation across the contract boundary: value paid out plus
-      // value still locked must equal the value locked before the call.
-      Amount paid = 0;
-      for (const contracts::Payout& payout : payouts) paid += payout.value;
-      if (paid + outcome->next->locked_value() != contract->locked_value()) {
-        return Status::Internal("contract violated value conservation");
       }
       std::vector<TxOutput> payout_outputs;
       payout_outputs.reserve(payouts.size());
@@ -227,6 +248,13 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
 Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
                                             const Block& block,
                                             const ChainParams& params) {
+  return ApplyBlockBody(state, block, block.TxLeaves(), params);
+}
+
+Result<std::vector<Receipt>> ApplyBlockBody(
+    LedgerState* state, const Block& block,
+    std::span<const crypto::Hash256> tx_ids, const ChainParams& params) {
+  assert(tx_ids.size() == block.txs.size());
   if (block.txs.empty()) {
     return Status::InvalidArgument("block has no coinbase");
   }
@@ -241,7 +269,7 @@ Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
 
   // Coinbase receipt placeholder; value rule checked after fee total known.
   Receipt coinbase_receipt;
-  coinbase_receipt.tx_id = coinbase.Id();
+  coinbase_receipt.tx_id = tx_ids[0];
   coinbase_receipt.note = "coinbase";
   receipts.push_back(coinbase_receipt);
 
@@ -251,7 +279,8 @@ Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
     if (tx.type == TxType::kCoinbase) {
       return Status::InvalidArgument("duplicate coinbase");
     }
-    AC3_ASSIGN_OR_RETURN(Receipt receipt, ApplyTransaction(state, tx, env));
+    AC3_ASSIGN_OR_RETURN(Receipt receipt,
+                         ApplyTransaction(state, tx, tx_ids[i], env));
     total_fees += tx.fee;
     receipts.push_back(std::move(receipt));
   }
@@ -259,7 +288,7 @@ Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
   if (coinbase.TotalOutput() > params.block_reward + total_fees) {
     return Status::InvalidArgument("coinbase exceeds reward plus fees");
   }
-  CreateOutputs(state, coinbase.Id(), coinbase.outputs);
+  CreateOutputs(state, tx_ids[0], coinbase.outputs);
   return receipts;
 }
 

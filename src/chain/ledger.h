@@ -6,18 +6,24 @@
 // one per block, so forks naturally own divergent contract states.
 //
 // Both maps are persistent (copy-on-write) trees: copying a LedgerState is
-// O(1) and mutations path-copy O(log n) shared nodes, so per-block and
-// per-candidate-transaction snapshots no longer cost O(state size). That
-// is what keeps per-block engine cost sublinear in chain length (see
-// README "Performance"). Iteration stays in key order, identical to the
-// old std::map representation, so every fold is bit-for-bit reproducible.
+// O(1), and a write clones only the nodes it shares with another copy,
+// mutating unshared ones in place. Validation and assembly each copy the
+// parent's state once per block and apply every transaction to that one
+// copy: its first writes path-copy, the rest are in place.
+// Iteration stays in key order, so every fold is bit-for-bit
+// reproducible.
 //
 // ApplyTransaction is the single execution path shared by miners (block
 // assembly) and validators (block verification): "the validation is
-// explicitly enforced in the storage layer" (Section 2.3).
+// explicitly enforced in the storage layer" (Section 2.3). It is
+// failure-atomic — every check runs before the first write — so assembly
+// can try each candidate directly on its working state and simply skip
+// the ones it rejects.
 
 #ifndef AC3_CHAIN_LEDGER_H_
 #define AC3_CHAIN_LEDGER_H_
+
+#include <span>
 
 #include "src/chain/block.h"
 #include "src/chain/params.h"
@@ -82,6 +88,8 @@ struct BlockEnv {
 };
 
 /// Validates and applies one non-coinbase transaction to `state` in place.
+/// `tx_id` must be `tx.Id()`; callers that already hashed the transaction
+/// pass it so the encoding is not hashed again.
 ///
 /// Outcomes:
 ///  * OK + success receipt        — applied, state advanced.
@@ -91,13 +99,24 @@ struct BlockEnv {
 ///  * error Status                — structurally invalid (bad signature,
 ///                                  missing input, value imbalance, unknown
 ///                                  contract). Such a transaction may not
-///                                  appear in a valid block at all.
+///                                  appear in a valid block at all, and
+///                                  `state` is left unchanged.
+Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
+                                 const crypto::Hash256& tx_id,
+                                 const BlockEnv& env);
+/// As above, hashing `tx` for its id.
 Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
                                  const BlockEnv& env);
 
 /// Applies a full block body (coinbase included) to `state`, returning the
 /// receipts in transaction order. Enforces the coinbase value rule
-/// (outputs <= block reward + total fees).
+/// (outputs <= block reward + total fees). `tx_ids[i]` must be
+/// `block.txs[i].Id()` (Block::TxLeaves()). On error `state` holds a
+/// partial application and should be discarded.
+Result<std::vector<Receipt>> ApplyBlockBody(
+    LedgerState* state, const Block& block,
+    std::span<const crypto::Hash256> tx_ids, const ChainParams& params);
+/// As above, hashing the body for its ids.
 Result<std::vector<Receipt>> ApplyBlockBody(LedgerState* state,
                                             const Block& block,
                                             const ChainParams& params);

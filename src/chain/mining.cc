@@ -5,6 +5,7 @@
 
 #include "src/chain/pow.h"
 #include "src/common/logging.h"
+#include "src/crypto/merkle.h"
 
 namespace ac3::chain {
 
@@ -178,11 +179,10 @@ Result<std::vector<Block>> MiningNetwork::BuildPrivateBranch(
     std::vector<Transaction> body;
     if (i == 0) {
       for (const Transaction& tx : txs) {
-        if (chain_->TxOnBranch(*parent_entry, tx.Id())) continue;
-        // O(1) persistent-state snapshot: roll back cleanly on failure.
-        LedgerState scratch = state;
-        if (!ApplyTransaction(&scratch, tx, env).ok()) continue;
-        state = std::move(scratch);
+        const crypto::Hash256 tx_id = tx.Id();
+        if (chain_->TxOnBranch(*parent_entry, tx_id)) continue;
+        // Failure-atomic: a rejected transaction leaves `state` untouched.
+        if (!ApplyTransaction(&state, tx, tx_id, env).ok()) continue;
         body.push_back(tx);
         total_fees += tx.fee;
       }
@@ -200,12 +200,13 @@ Result<std::vector<Block>> MiningNetwork::BuildPrivateBranch(
     // Receipts via the canonical execution path: the first block re-runs
     // from the parent state (its body was staged above), later blocks run
     // on the branch state they extend.
-    LedgerState verify = i == 0 ? parent_entry->state : state;
-    AC3_ASSIGN_OR_RETURN(block.receipts,
-                         ApplyBlockBody(&verify, block, chain_->params()));
-    state = std::move(verify);
+    if (i == 0) state = parent_entry->state;
+    const std::vector<crypto::Hash256> tx_ids = block.TxLeaves();
+    AC3_ASSIGN_OR_RETURN(
+        block.receipts,
+        ApplyBlockBody(&state, block, tx_ids, chain_->params()));
 
-    block.header.tx_root = block.ComputeTxRoot();
+    block.header.tx_root = crypto::MerkleTree::RootOf(tx_ids);
     block.header.receipt_root = block.ComputeReceiptRoot();
     MineHeader(&block.header, &rng_);
 

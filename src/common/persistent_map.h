@@ -1,34 +1,45 @@
-// PersistentMap: an immutable-node, copy-on-write ordered map.
+// PersistentMap: a copy-on-write ordered map with O(1) snapshots.
 //
-// This is the structure behind the engine's O(1) ledger snapshots: every
-// BlockEntry keeps the full post-state of its branch, and block assembly
-// takes a scratch copy per candidate transaction. With std::map those
-// copies cost O(state size) each — quadratic over a growing chain. Here a
-// copy is a shared root pointer; mutation path-copies O(log n) nodes of a
-// weight-balanced search tree, so divergent snapshots (forks, scratch
-// states) share all unmodified structure.
+// This is the structure behind the engine's ledger snapshots: every
+// BlockEntry keeps the full post-state of its branch, and forks, block
+// validation and block assembly all start from a copy of a stored state.
+// With std::map those copies cost O(state size) each. Here a copy is a
+// shared root pointer over a weight-balanced search tree, and a write is
+// copy-on-write *when shared*: descending to the key, a node whose
+// reference count is 1 belongs to this handle alone and is mutated in
+// place; a shared node is first shallow-cloned (same key, value and
+// children, one more reference on each child). Cloning a node makes its
+// children shared, so the first write after a snapshot copies the path
+// to the key and later writes to the same region touch nothing but the
+// handle's own nodes. A block body or an assembly pass on a copied state
+// therefore path-copies each region once, then writes in place.
+//
+// Snapshots never observe a write: a node reachable from two handles has
+// either a count above 1 or an ancestor with a count above 1, and the
+// top-down descent clones every such node before touching it.
 //
 // Determinism: iteration is strictly in key order (same order as std::map
 // with std::less), independent of insertion history, so every fold over a
 // ledger state is reproducible bit-for-bit.
 //
 // The API is the std::map subset the ledger needs — Find/At/Put/Erase plus
-// const in-order iteration (range-for compatible). Iterators are
-// invalidated by any mutation of the *handle* they came from; snapshots
-// taken before the mutation remain valid and unchanged (that is the
-// point).
+// const in-order iteration (range-for compatible). Iterators and Find()
+// pointers are invalidated by any mutation of the *handle* they came from;
+// snapshots taken before the mutation remain valid and unchanged (that is
+// the point).
 //
-// Allocation: nodes carry an intrusive reference count and live in
-// NodePool slabs (src/common/arena.h) instead of shared_ptr control
-// blocks, so the path-copy hot loop costs a free-list pop per node rather
-// than a malloc of node + control block, and a release never touches a
-// separate control-block cache line. The count is atomic because divergent
-// snapshots *share structure across threads*: parallel fork validation
-// (Blockchain::SubmitBlocks) and the sweep's worker pool both copy and
-// mutate sibling snapshots concurrently, and every path copy re-references
-// the untouched subtrees of the shared original. Increments are relaxed
-// (publication of the nodes themselves happens-before any handoff);
-// decrements are acq_rel so the destroying thread observes all writes.
+// Allocation and threads: nodes carry an intrusive reference count and
+// live in NodePool slabs (src/common/arena.h) instead of shared_ptr
+// control blocks, so a clone costs a free-list pop rather than a malloc of
+// node + control block. The count is atomic because snapshots *share
+// structure across threads*: parallel fork validation
+// (Blockchain::SubmitBlocks) and the sweep's worker pool copy and mutate
+// sibling snapshots concurrently. Increments are relaxed (publication of
+// the nodes themselves happens-before any handoff); decrements are
+// acq_rel. The uniqueness test is an acquire load: when it reads 1, the
+// only reference is this handle's, and the acquire pairs with the release
+// of every other thread's last reference, so their reads of the node
+// happen-before the in-place write.
 
 #ifndef AC3_COMMON_PERSISTENT_MAP_H_
 #define AC3_COMMON_PERSISTENT_MAP_H_
@@ -45,12 +56,12 @@
 /// Core utilities shared by every module (the dependency root).
 namespace ac3 {
 
-/// Immutable-node, copy-on-write ordered map (Adams weight-balanced
-/// tree): O(1) snapshot copies, O(log n) mutation via path copying,
-/// std::map-identical key-order iteration. Nodes are pool-allocated with
-/// intrusive atomic refcounts, so snapshots may be copied, mutated, and
-/// released concurrently on different threads as long as each *handle* is
-/// used by one thread at a time.
+/// Copy-on-write ordered map (Adams weight-balanced tree): O(1) snapshot
+/// copies, O(log n) writes that mutate unshared nodes in place and clone
+/// shared ones, std::map-identical key-order iteration. Nodes are
+/// pool-allocated with intrusive atomic refcounts, so snapshots may be
+/// copied, mutated, and released concurrently on different threads as long
+/// as each *handle* is used by one thread at a time.
 template <typename K, typename V>
 class PersistentMap {
  private:
@@ -94,14 +105,12 @@ class PersistentMap {
 
   /// Inserts or replaces `key`. Mutates only this handle: other copies of
   /// the map keep observing the previous version.
-  void Put(const K& key, V value) {
-    root_ = Insert(root_, key, std::move(value));
-  }
+  void Put(const K& key, V value) { Insert(root_, key, std::move(value)); }
 
   /// Removes `key`; returns whether it was present.
   bool Erase(const K& key) {
-    if (!Contains(key)) return false;  // Avoid path-copying on a miss.
-    root_ = Remove(root_, key);
+    if (!Contains(key)) return false;  // Avoid cloning shared nodes on a miss.
+    Remove(root_, key);
     return true;
   }
 
@@ -123,6 +132,15 @@ class PersistentMap {
       }
     }
     return true;
+  }
+
+  /// Verifies the tree invariants: keys strictly ascending in order,
+  /// every node's cached size exact, and every node weight-balanced
+  /// (neither child heavier than delta = 3 times the other, counting
+  /// weight as size + 1). O(n); for tests.
+  bool CheckInvariants() const {
+    const K* prev = nullptr;
+    return CheckNode(root_.get(), &prev);
   }
 
   // ---- in-order const iteration (range-for support) ------------------------
@@ -202,13 +220,14 @@ class PersistentMap {
     Ptr right;
     size_t size;
     /// Intrusive count; starts at 1 for the reference Make() returns.
-    /// Mutable so shared (const) nodes can still be re-referenced.
-    mutable std::atomic<uint32_t> refs{1};
+    std::atomic<uint32_t> refs{1};
   };
 
-  /// Intrusive shared reference to an immutable, pool-resident Node — the
-  /// shared_ptr<const Node> subset the tree needs, minus the control
-  /// block, weak count, and per-node malloc.
+  /// Intrusive shared reference to a pool-resident Node — the
+  /// shared_ptr<Node> subset the tree needs, minus the control block, weak
+  /// count, and per-node malloc. Readers get const access; writers go
+  /// through Unique(), which hands out a mutable node only when this
+  /// reference is its sole owner.
   class NodeRef {
    public:
     NodeRef() = default;
@@ -224,14 +243,20 @@ class PersistentMap {
     }
     NodeRef& operator=(const NodeRef& other) {
       NodeRef copy(other);
-      std::swap(node_, copy.node_);
-      return *this;
+      return *this = std::move(copy);
     }
+    /// Takes `other`'s node, then releases the old one. The order matters
+    /// for `slot = std::move(node->child)`: the child is detached before
+    /// its old parent can be destroyed.
     NodeRef& operator=(NodeRef&& other) noexcept {
-      std::swap(node_, other.node_);
+      if (this == &other) return *this;
+      Node* old = node_;
+      node_ = other.node_;
+      other.node_ = nullptr;
+      Release(old);
       return *this;
     }
-    ~NodeRef() { Release(); }
+    ~NodeRef() { Release(node_); }
 
     const Node* get() const { return node_; }
     const Node* operator->() const { return node_; }
@@ -241,26 +266,31 @@ class PersistentMap {
     explicit operator bool() const { return node_ != nullptr; }
 
     /// Takes ownership of a node whose count is already 1.
-    static NodeRef Adopt(const Node* node) {
+    static NodeRef Adopt(Node* node) {
       NodeRef ref;
       ref.node_ = node;
       return ref;
     }
 
+    /// True when this is the only reference to the (non-null) node.
+    bool IsUnique() const {
+      return node_->refs.load(std::memory_order_acquire) == 1;
+    }
+    /// Mutable access; only valid while IsUnique().
+    Node* mutable_get() const { return node_; }
+
    private:
-    void Release() {
-      if (node_ == nullptr) return;
-      if (node_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    static void Release(Node* node) {
+      if (node == nullptr) return;
+      if (node->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         // Destroying the node releases its children in turn; recursion
         // depth is bounded by the (balanced) tree height.
-        Node* dying = const_cast<Node*>(node_);
-        dying->~Node();
-        NodePool<Node>::Deallocate(dying);
+        node->~Node();
+        NodePool<Node>::Deallocate(node);
       }
-      node_ = nullptr;
     }
 
-    const Node* node_ = nullptr;
+    Node* node_ = nullptr;
   };
 
   static size_t Size(const Ptr& node) { return node ? node->size : 0; }
@@ -274,91 +304,120 @@ class PersistentMap {
         key, std::move(value), std::move(left), std::move(right), size));
   }
 
-  static Ptr RotateLeft(const Ptr& left, const K& key, const V& value,
-                        const Ptr& right) {
-    return Make(Make(left, key, value, right->left), right->key, right->value,
-                right->right);
-  }
-  static Ptr RotateLeftDouble(const Ptr& left, const K& key, const V& value,
-                              const Ptr& right) {
-    const Ptr& pivot = right->left;
-    return Make(Make(left, key, value, pivot->left), pivot->key, pivot->value,
-                Make(pivot->right, right->key, right->value, right->right));
-  }
-  static Ptr RotateRight(const Ptr& left, const K& key, const V& value,
-                         const Ptr& right) {
-    return Make(left->left, left->key, left->value,
-                Make(left->right, key, value, right));
-  }
-  static Ptr RotateRightDouble(const Ptr& left, const K& key, const V& value,
-                               const Ptr& right) {
-    const Ptr& pivot = left->right;
-    return Make(Make(left->left, left->key, left->value, pivot->left),
-                pivot->key, pivot->value,
-                Make(pivot->right, key, value, right));
+  /// The node in `slot` (non-null), made exclusively this handle's: a
+  /// shared node is replaced by a shallow clone, which takes one more
+  /// reference on each child (so the children now count as shared).
+  static Node* Unique(Ptr& slot) {
+    if (!slot.IsUnique()) {
+      slot = Make(slot->left, slot->key, slot->value, slot->right);
+    }
+    return slot.mutable_get();
   }
 
-  /// Rebuilds a node whose children differ by at most one insertion or
-  /// removal, restoring the weight-balance invariant
-  /// (Adams-style weight-balanced tree, delta = 3, gamma = 2).
-  static Ptr Balance(Ptr left, const K& key, V value, Ptr right) {
-    const size_t lw = Weight(left);
-    const size_t rw = Weight(right);
-    if (lw + rw <= 2) return Make(std::move(left), key, std::move(value),
-                                  std::move(right));
+  static void FixSize(Node* node) {
+    node->size = 1 + Size(node->left) + Size(node->right);
+  }
+
+  /// Single rotations of the subtree in `slot`. Both nodes whose links
+  /// change are made unique first.
+  static void RotateLeft(Ptr& slot) {
+    Node* node = Unique(slot);
+    Ptr up = std::move(node->right);
+    Node* pivot = Unique(up);
+    node->right = std::move(pivot->left);
+    FixSize(node);
+    pivot->left = std::move(slot);
+    FixSize(pivot);
+    slot = std::move(up);
+  }
+  static void RotateRight(Ptr& slot) {
+    Node* node = Unique(slot);
+    Ptr up = std::move(node->left);
+    Node* pivot = Unique(up);
+    node->left = std::move(pivot->right);
+    FixSize(node);
+    pivot->right = std::move(slot);
+    FixSize(pivot);
+    slot = std::move(up);
+  }
+
+  /// Restores the node in `slot` (already unique) after one of its
+  /// subtrees gained or lost one key: refreshes the cached size and
+  /// rotates back into weight balance (Adams-style weight-balanced tree,
+  /// delta = 3, gamma = 2).
+  static void Rebalance(Ptr& slot) {
+    Node* node = slot.mutable_get();
+    const size_t lw = Weight(node->left);
+    const size_t rw = Weight(node->right);
     if (rw > 3 * lw) {
-      return Weight(right->left) < 2 * Weight(right->right)
-                 ? RotateLeft(left, key, value, right)
-                 : RotateLeftDouble(left, key, value, right);
+      const Ptr& right = node->right;
+      if (Weight(right->left) >= 2 * Weight(right->right)) {
+        RotateRight(node->right);  // Double rotation.
+      }
+      RotateLeft(slot);
+    } else if (lw > 3 * rw) {
+      const Ptr& left = node->left;
+      if (Weight(left->right) >= 2 * Weight(left->left)) {
+        RotateLeft(node->left);  // Double rotation.
+      }
+      RotateRight(slot);
+    } else {
+      FixSize(node);
     }
-    if (lw > 3 * rw) {
-      return Weight(left->right) < 2 * Weight(left->left)
-                 ? RotateRight(left, key, value, right)
-                 : RotateRightDouble(left, key, value, right);
-    }
-    return Make(std::move(left), key, std::move(value), std::move(right));
   }
 
-  static Ptr Insert(const Ptr& node, const K& key, V value) {
-    if (node == nullptr) return Make(nullptr, key, std::move(value), nullptr);
+  /// Returns whether `key` was new (a replacement leaves every size on
+  /// the path unchanged, so the callers skip rebalancing).
+  static bool Insert(Ptr& slot, const K& key, V&& value) {
+    if (slot == nullptr) {
+      slot = Make(nullptr, key, std::move(value), nullptr);
+      return true;
+    }
+    Node* node = Unique(slot);
+    bool added;
     if (key < node->key) {
-      return Balance(Insert(node->left, key, std::move(value)), node->key,
-                     node->value, node->right);
+      added = Insert(node->left, key, std::move(value));
+    } else if (node->key < key) {
+      added = Insert(node->right, key, std::move(value));
+    } else {
+      node->value = std::move(value);
+      return false;
     }
-    if (node->key < key) {
-      return Balance(node->left, node->key, node->value,
-                     Insert(node->right, key, std::move(value)));
-    }
-    return Make(node->left, key, std::move(value), node->right);  // Replace.
+    if (added) Rebalance(slot);
+    return added;
   }
 
-  /// Removes the minimum of `node` (must be non-null), exporting it.
-  static Ptr PopMin(const Ptr& node, const K** min_key, const V** min_value) {
-    if (node->left == nullptr) {
-      *min_key = &node->key;
-      *min_value = &node->value;
-      return node->right;
+  /// Detaches the minimum of the subtree in `slot` (non-null), copying its
+  /// key and value into `*key` / `*value`.
+  static void PopMin(Ptr& slot, K* key, V* value) {
+    if (slot->left == nullptr) {
+      *key = slot->key;
+      *value = slot->value;
+      Ptr right = slot->right;
+      slot = std::move(right);
+      return;
     }
-    return Balance(PopMin(node->left, min_key, min_value), node->key,
-                   node->value, node->right);
+    Node* node = Unique(slot);
+    PopMin(node->left, key, value);
+    Rebalance(slot);
   }
 
-  /// `key` is known to exist under `node`.
-  static Ptr Remove(const Ptr& node, const K& key) {
+  /// `key` is known to exist under `slot`.
+  static void Remove(Ptr& slot, const K& key) {
+    Node* node = Unique(slot);
     if (key < node->key) {
-      return Balance(Remove(node->left, key), node->key, node->value,
-                     node->right);
+      Remove(node->left, key);
+    } else if (node->key < key) {
+      Remove(node->right, key);
+    } else if (node->left == nullptr || node->right == nullptr) {
+      Ptr child = std::move(node->left == nullptr ? node->right : node->left);
+      slot = std::move(child);
+      return;
+    } else {
+      // Two children: the in-order successor takes this node's place.
+      PopMin(node->right, &node->key, &node->value);
     }
-    if (node->key < key) {
-      return Balance(node->left, node->key, node->value,
-                     Remove(node->right, key));
-    }
-    if (node->left == nullptr) return node->right;
-    if (node->right == nullptr) return node->left;
-    const K* succ_key = nullptr;
-    const V* succ_value = nullptr;
-    Ptr right = PopMin(node->right, &succ_key, &succ_value);
-    return Balance(node->left, *succ_key, *succ_value, std::move(right));
+    Rebalance(slot);
   }
 
   template <typename Fn>
@@ -367,6 +426,17 @@ class PersistentMap {
     ForEachNode(node->left.get(), fn);
     fn(node->key, node->value);
     ForEachNode(node->right.get(), fn);
+  }
+
+  static bool CheckNode(const Node* node, const K** prev) {
+    if (node == nullptr) return true;
+    if (!CheckNode(node->left.get(), prev)) return false;
+    if (*prev != nullptr && !(**prev < node->key)) return false;
+    *prev = &node->key;
+    if (!CheckNode(node->right.get(), prev)) return false;
+    const size_t lw = Weight(node->left);
+    const size_t rw = Weight(node->right);
+    return node->size == lw + rw - 1 && lw <= 3 * rw && rw <= 3 * lw;
   }
 
   Ptr root_;

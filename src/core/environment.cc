@@ -127,13 +127,16 @@ void Environment::SubmitTransaction(sim::NodeId from, chain::ChainId id,
   // traffic, not only to the engines' off-chain exchanges. The payload
   // carries the wire size, not the transaction itself — the handler
   // closure holds the real object, exactly like the old closure path.
+  // One encoding yields both the id (Transaction::Id hashes exactly
+  // these bytes) and the wire size.
+  const Bytes wire = tx.Encode();
   proto::Message msg;
-  msg.swap_id = tx.Id();
+  msg.swap_id = crypto::Hash256::Of(wire);
   msg.seq = next_gossip_seq_++;
   msg.sender = from;
   msg.receiver = chains_[id].gateway;
-  msg.payload = proto::TxSubmitPayload{
-      id, static_cast<uint32_t>(tx.Encode().size())};
+  msg.payload =
+      proto::TxSubmitPayload{id, static_cast<uint32_t>(wire.size())};
   network_.SendMessage(msg, [pool, sim, tx](const proto::Message&) {
     // Ignore duplicate-submission errors: gossip is at-least-once, and a
     // fault-duplicated delivery is rejected by transaction id.

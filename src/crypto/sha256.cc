@@ -340,21 +340,19 @@ void Sha256::Update(const uint8_t* data, size_t len) {
 
 std::array<uint8_t, Sha256::kDigestSize> Sha256::Finish() {
   // Append 0x80, pad with zeros to 56 mod 64, then the 64-bit big-endian
-  // message bit length.
-  const uint64_t bit_count = bit_count_;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  bit_count_ -= 8;  // Padding is not message content.
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
-    bit_count_ -= 8;
+  // message bit length: one or two final blocks, built in the buffer.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-  uint8_t len_be[8];
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bit_count >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<uint8_t>(bit_count_ >> (56 - 8 * i));
   }
-  Update(len_be, 8);
+  ProcessBlock(buffer_);
+  buffer_len_ = 0;
 
   std::array<uint8_t, kDigestSize> digest;
   for (int i = 0; i < 8; ++i) {

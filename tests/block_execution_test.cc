@@ -466,6 +466,202 @@ TEST_F(BlockBodyTest, ExecutionIsDeterministicAcrossStateCopies) {
   EXPECT_EQ(a.LockedValue(), 100);
 }
 
+// ------------------------------------------- ApplyTransaction atomicity
+
+/// A contract whose calls fail in the two ways no builtin contract does:
+/// "fault" returns a non-revert error, any other function pays out its
+/// locked value while keeping it locked (breaking value conservation).
+constexpr char kFaultyKind[] = "TestFaultySC";
+
+class FaultyContract : public contracts::Contract {
+ public:
+  std::string Kind() const override { return kFaultyKind; }
+  Bytes StateDigest() const override { return Bytes{0xFA}; }
+  Result<contracts::CallOutcome> Call(
+      const std::string& function, const Bytes& /*args*/,
+      const contracts::CallContext& ctx) const override {
+    if (function == "fault") return Status::Internal("faulty contract");
+    ctx.payouts->push_back(contracts::Payout{locked_value(), deployer()});
+    return contracts::CallOutcome{std::make_shared<FaultyContract>(*this),
+                                  "leaked"};
+  }
+};
+
+/// Every error return of ApplyTransaction must leave the state exactly as
+/// it was: same UTXOs, balances, contract snapshots and liquid total.
+class ApplyTransactionAtomicityTest : public BlockBodyTest {
+ protected:
+  ApplyTransactionAtomicityTest() {
+    contracts::ContractFactory::Instance().Register(
+        kFaultyKind, [](const Bytes&, const contracts::DeployContext& ctx)
+                         -> Result<contracts::ContractPtr> {
+          auto contract = std::make_shared<FaultyContract>();
+          contract->BindDeployment(ctx);
+          return contracts::ContractPtr(contract);
+        });
+    // Block 1 deploys an HTLC and a faulty contract, so calls have
+    // targets. `state_` is the head state plus one more transfer.
+    htlc_ = HtlcDeploy(1, secret_, 300, 1);
+    Wallet w = WalletFor(3);
+    auto faulty = w.BuildDeploy(head_state(), kFaultyKind, Bytes{}, 100, 2, 2);
+    EXPECT_TRUE(faulty.ok()) << faulty.status().ToString();
+    faulty_id_ = faulty->Id();
+    AssembleAndSubmit({htlc_, *faulty});
+    EXPECT_TRUE(head_state().GetContract(faulty_id_).ok());
+    state_ = head_state();
+    EXPECT_TRUE(
+        chain::ApplyTransaction(&state_, Transfer(9, 10, 5, 3), env()).ok());
+  }
+
+  chain::BlockEnv env() const {
+    return chain::BlockEnv{tc_->chain().id(), tc_->chain().head()->height() + 1,
+                           now_ + 50};
+  }
+
+  /// Some unspent output of keys_[k] in `state_`.
+  std::pair<OutPoint, Amount> OwnedBy(size_t k) const {
+    for (const auto& [outpoint, output] : state_.utxos) {
+      if (output.owner == keys_[k].public_key()) {
+        return {outpoint, output.value};
+      }
+    }
+    ADD_FAILURE() << "key " << k << " owns nothing";
+    return {};
+  }
+
+  /// Applies `tx` to `state_`, expecting an error with `code` whose text
+  /// contains `needle`, and `state_` unchanged.
+  void ExpectRejected(const Transaction& tx, StatusCode code,
+                      const std::string& needle) {
+    const LedgerState before = state_;
+    auto receipt = chain::ApplyTransaction(&state_, tx, env());
+    ASSERT_FALSE(receipt.ok());
+    EXPECT_EQ(receipt.status().code(), code) << receipt.status().ToString();
+    EXPECT_NE(receipt.status().ToString().find(needle), std::string::npos)
+        << receipt.status().ToString();
+    EXPECT_TRUE(state_.utxos == before.utxos);
+    EXPECT_TRUE(state_.balances == before.balances);
+    EXPECT_TRUE(state_.contracts == before.contracts);
+    EXPECT_EQ(state_.liquid_total, before.liquid_total);
+  }
+
+  /// keys_[from] calls `function` on `contract`, built against `state_`.
+  Transaction CallOn(size_t from, const crypto::Hash256& contract,
+                     const std::string& function, const Bytes& args,
+                     uint64_t nonce) {
+    Wallet w = WalletFor(from);
+    auto tx = w.BuildCall(state_, contract, function, args, 2, nonce);
+    EXPECT_TRUE(tx.ok()) << tx.status().ToString();
+    return tx.ok() ? *tx : Transaction{};
+  }
+
+  const Bytes secret_{7, 7, 7};
+  Transaction htlc_;
+  crypto::Hash256 faulty_id_;
+  LedgerState state_;
+};
+
+TEST_F(ApplyTransactionAtomicityTest, WrongChain) {
+  Transaction tx = Transfer(1, 2, 25, 10);
+  tx.chain_id += 1;
+  tx.SignWith(keys_[1]);
+  ExpectRejected(tx, StatusCode::kInvalidArgument, "another chain");
+}
+
+TEST_F(ApplyTransactionAtomicityTest, BadSignature) {
+  Transaction tx = Transfer(1, 2, 25, 10);
+  tx.nonce ^= 1;  // Changes the signed content after signing.
+  ExpectRejected(tx, StatusCode::kVerificationFailed, "bad transaction");
+}
+
+TEST_F(ApplyTransactionAtomicityTest, MissingInput) {
+  ExpectRejected(Spend(OutPoint{crypto::Hash256::Of(Bytes{0xBA}), 0}, 6,
+                       keys_[1], keys_[2].public_key(), 10),
+                 StatusCode::kInvalidArgument, "input not in UTXO set");
+}
+
+TEST_F(ApplyTransactionAtomicityTest, DuplicateInput) {
+  const auto [outpoint, value] = OwnedBy(4);
+  Transaction tx = Spend(outpoint, value, keys_[4], keys_[5].public_key(), 10);
+  tx.inputs.push_back(outpoint);
+  tx.outputs[0].value += value;
+  tx.SignWith(keys_[4]);
+  ExpectRejected(tx, StatusCode::kInvalidArgument, "duplicate input");
+}
+
+TEST_F(ApplyTransactionAtomicityTest, ForeignOwner) {
+  const auto [outpoint, value] = OwnedBy(4);
+  ExpectRejected(Spend(outpoint, value, keys_[5], keys_[5].public_key(), 10),
+                 StatusCode::kVerificationFailed, "not owned by");
+}
+
+TEST_F(ApplyTransactionAtomicityTest, TransferValueNotConserved) {
+  const auto [outpoint, value] = OwnedBy(4);
+  Transaction tx = Spend(outpoint, value, keys_[4], keys_[5].public_key(), 10);
+  tx.outputs[0].value += 1;
+  tx.SignWith(keys_[4]);
+  ExpectRejected(tx, StatusCode::kInvalidArgument,
+                 "transfer value not conserved");
+}
+
+TEST_F(ApplyTransactionAtomicityTest, DeployValueNotConserved) {
+  Transaction tx = HtlcDeploy(5, secret_, 100, 10);
+  tx.contract_value += 1;
+  tx.SignWith(keys_[5]);
+  ExpectRejected(tx, StatusCode::kInvalidArgument,
+                 "deploy value not conserved");
+}
+
+TEST_F(ApplyTransactionAtomicityTest, MalformedDeployPayload) {
+  Wallet w = WalletFor(5);
+  auto tx = w.BuildDeploy(state_, contracts::kHtlcKind, Bytes{1, 2, 3}, 100,
+                          4, 10);
+  ASSERT_TRUE(tx.ok()) << tx.status().ToString();
+  ExpectRejected(*tx, StatusCode::kOutOfRange, "buffer underrun");
+}
+
+TEST_F(ApplyTransactionAtomicityTest, CallValueNotConserved) {
+  Transaction tx =
+      CallOn(2, htlc_.Id(), contracts::kRedeemFunction, secret_, 10);
+  tx.fee += 1;
+  tx.SignWith(keys_[2]);
+  ExpectRejected(tx, StatusCode::kInvalidArgument, "call value not conserved");
+}
+
+TEST_F(ApplyTransactionAtomicityTest, UnknownContract) {
+  ExpectRejected(CallOn(2, crypto::Hash256::Of(Bytes{0xCC}),
+                        contracts::kRedeemFunction, secret_, 10),
+                 StatusCode::kNotFound, "no contract");
+}
+
+TEST_F(ApplyTransactionAtomicityTest, NonRevertCallError) {
+  ExpectRejected(CallOn(2, faulty_id_, "fault", Bytes{}, 10),
+                 StatusCode::kInternal, "faulty contract");
+}
+
+TEST_F(ApplyTransactionAtomicityTest, ContractValueNotConserved) {
+  ExpectRejected(CallOn(2, faulty_id_, "leak", Bytes{}, 10),
+                 StatusCode::kInternal, "value conservation");
+}
+
+TEST_F(ApplyTransactionAtomicityTest, RevertStillSpendsInputsAndFee) {
+  const Transaction tx =
+      CallOn(2, htlc_.Id(), contracts::kRedeemFunction, Bytes{6, 6, 6}, 10);
+  const LedgerState before = state_;
+  auto receipt = chain::ApplyTransaction(&state_, tx, env());
+  ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
+  EXPECT_FALSE(receipt->success);
+  for (const OutPoint& in : tx.inputs) {
+    EXPECT_TRUE(HasUtxo(before, in));
+    EXPECT_FALSE(HasUtxo(state_, in));
+  }
+  EXPECT_TRUE(HasUtxo(state_, OutPoint{tx.Id(), 0}));
+  EXPECT_EQ(state_.BalanceOf(keys_[2].public_key()),
+            before.BalanceOf(keys_[2].public_key()) - tx.fee);
+  EXPECT_EQ(state_.liquid_total, before.liquid_total - tx.fee);
+  EXPECT_TRUE(state_.contracts == before.contracts);
+}
+
 // --------------------------------------------------------- block assembly
 
 using SerialAssemblyTest = BlockBodyTest;

@@ -78,6 +78,44 @@ TEST(Sha256Test, PaddingBoundaries) {
   }
 }
 
+TEST(Sha256Test, PaddingBoundaryKnownAnswers) {
+  // SHA-256 of `len` bytes of 0x5a, from an independent implementation
+  // (Python hashlib). The lengths straddle the one-block/two-block padding
+  // split at 55/56 bytes and the block edges at 64 and 128.
+  const struct {
+    size_t len;
+    const char* hex;
+  } kCases[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {1, "bbeebd879e1dff6918546dc0c179fdde505f2a21591c9a9c96e36b054ec5af83"},
+      {55,
+       "5f25f149aa92e3e13093aed8216072fae623f35e26ca605b6cce17e04b7ccf44"},
+      {56,
+       "301c69927f1603720c9f847b7e5e3bef77a7b9f75344490fe9039f13c36b842a"},
+      {57,
+       "30ab35131f9b368e840dc65fc1eb832706e748e3c5e44ec40bc19cd1ce5c0dc2"},
+      {63,
+       "939765b120205cbedae2ed31256b1967c38b6bdd9b0220535224cbc0b906d333"},
+      {64,
+       "cc7321cce5e4409bd8077d58422e1214969059bbd40b4eeb0de0a642f40f7282"},
+      {65,
+       "b8de0db62b6c87db61345504a8038bf973d987e8d2111abd8beb407c0bf3d9db"},
+      {119,
+       "a96851d641310ce032ff832b6f08125878deed2a825fe515dd1ba414afe95f7e"},
+      {120,
+       "60ec7f280e45d0c7bf77b70ff16958b1c1701a9fb7faa12b798207cf120ec6ee"},
+      {128,
+       "349d65e9ba1de7b0a13f9a3eadcc5b0202f15d6008fe9477f2a7b80f6194b20f"},
+  };
+  for (const auto& c : kCases) {
+    const Bytes data(c.len, 0x5a);
+    EXPECT_EQ(Hash256::Of(data).ToHex(), c.hex) << "len=" << c.len;
+    Sha256 bytewise;
+    for (uint8_t byte : data) bytewise.Update(&byte, 1);
+    EXPECT_EQ(Hash256(bytewise.Finish()).ToHex(), c.hex) << "len=" << c.len;
+  }
+}
+
 // ------------------------------------------------- SHA-256 dispatch ladder
 
 using ::ac3::testutil::AvailableDispatches;

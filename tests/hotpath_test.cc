@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -373,6 +374,126 @@ TEST(PersistentMapTest, SnapshotsAreIndependent) {
   EXPECT_EQ(original.size(), 51u);
   EXPECT_EQ(original.Find(2), nullptr);
   ASSERT_NE(original.Find(1000), nullptr);
+}
+
+/// Element-wise equality of a PersistentMap with its std::map model, in
+/// iteration order, plus the tree invariants.
+bool SameAsModel(const PersistentMap<uint64_t, uint64_t>& map,
+                 const std::map<uint64_t, uint64_t>& model) {
+  if (map.size() != model.size() || !map.CheckInvariants()) return false;
+  auto it = model.begin();
+  for (const auto& [key, value] : map) {
+    if (key != it->first || value != it->second) return false;
+    ++it;
+  }
+  return true;
+}
+
+TEST(PersistentMapTest, InPlaceWritesNeverReachSnapshots) {
+  // Random writes against a std::map model, with snapshots taken at random
+  // points. Writes between snapshots hit nodes the live handle owns alone
+  // (mutated in place); every snapshot must still equal the model copy
+  // taken with it.
+  PersistentMap<uint64_t, uint64_t> live;
+  std::map<uint64_t, uint64_t> model;
+  std::vector<PersistentMap<uint64_t, uint64_t>> snapshots;
+  std::vector<std::map<uint64_t, uint64_t>> models;
+  Rng rng(271828);
+  for (int op = 0; op < 20000; ++op) {
+    const uint64_t key = rng.NextU64() % 1024;
+    const uint64_t roll = rng.NextU64() % 100;
+    if (roll < 55) {
+      const uint64_t value = rng.NextU64();
+      live.Put(key, value);
+      model[key] = value;
+    } else if (roll < 98) {
+      ASSERT_EQ(live.Erase(key), model.erase(key) > 0);
+    } else {
+      snapshots.push_back(live);
+      models.push_back(model);
+    }
+    if (op % 997 == 0) {
+      ASSERT_TRUE(SameAsModel(live, model)) << "op " << op;
+    }
+  }
+  ASSERT_GT(snapshots.size(), 100u);
+  EXPECT_TRUE(SameAsModel(live, model));
+  for (size_t i = 0; i < snapshots.size(); ++i) {
+    EXPECT_TRUE(SameAsModel(snapshots[i], models[i])) << "snapshot " << i;
+  }
+}
+
+TEST(PersistentMapTest, WeightBalancedUnderSequentialAndRandomWrites) {
+  // Ascending inserts are the worst case for rotations; erasing every
+  // other key then re-exercises the two-child removal path.
+  PersistentMap<uint64_t, uint64_t> map;
+  for (uint64_t i = 0; i < 5000; ++i) {
+    map.Put(i, i);
+    if (i % 250 == 0) {
+      ASSERT_TRUE(map.CheckInvariants()) << i;
+    }
+  }
+  for (uint64_t i = 0; i < 5000; i += 2) ASSERT_TRUE(map.Erase(i));
+  EXPECT_TRUE(map.CheckInvariants());
+  EXPECT_EQ(map.size(), 2500u);
+  Rng rng(577);
+  for (int op = 0; op < 5000; ++op) {
+    const uint64_t key = rng.NextU64() % 8000;
+    if (rng.NextU64() % 2 == 0) {
+      map.Put(key, key);
+    } else {
+      map.Erase(key);
+    }
+  }
+  EXPECT_TRUE(map.CheckInvariants());
+}
+
+TEST(PersistentMapTest, ConcurrentSiblingSnapshotsStayIndependent) {
+  // Four threads each take sibling copies of one base and write to them:
+  // the first write on each copy clones the shared path, later writes run
+  // in place on thread-owned nodes while the other threads still read and
+  // clone the shared ones. Race-checked under the tsan job.
+  PersistentMap<uint64_t, uint64_t> base;
+  std::map<uint64_t, uint64_t> base_model;
+  for (uint64_t i = 0; i < 3000; ++i) {
+    base.Put(i * 3, i);
+    base_model[i * 3] = i;
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::thread> workers;
+  std::vector<char> ok(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      Rng rng(1000 + static_cast<uint64_t>(t));
+      bool good = true;
+      for (int round = 0; round < 20; ++round) {
+        PersistentMap<uint64_t, uint64_t> mine = base;
+        std::map<uint64_t, uint64_t> model = base_model;
+        PersistentMap<uint64_t, uint64_t> mid;
+        std::map<uint64_t, uint64_t> mid_model;
+        for (int op = 0; op < 600; ++op) {
+          const uint64_t key = rng.NextU64() % 9500;
+          if (rng.NextU64() % 3 == 0) {
+            good = good && mine.Erase(key) == (model.erase(key) > 0);
+          } else {
+            mine.Put(key, key + static_cast<uint64_t>(t));
+            model[key] = key + static_cast<uint64_t>(t);
+          }
+          if (op == 300) {
+            mid = mine;
+            mid_model = model;
+          }
+        }
+        good = good && SameAsModel(mine, model) && SameAsModel(mid, mid_model);
+      }
+      ok[static_cast<size_t>(t)] = good ? 1 : 0;
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(ok[static_cast<size_t>(t)]) << "thread " << t;
+  }
+  EXPECT_TRUE(SameAsModel(base, base_model));
 }
 
 TEST(LedgerStateTest, CopyOnWriteSemantics) {
