@@ -1,7 +1,11 @@
 // Engineering micro-benchmarks (google-benchmark): the cryptographic
 // substrate every protocol operation rests on — SHA-256, Schnorr
 // signatures, ms(D) multisignatures, Merkle trees, and the commitment
-// schemes.
+// schemes — plus the SHA-256 compression seam and the PoW nonce-prefix
+// search on every dispatch rung.
+
+#include <array>
+#include <cstdint>
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +13,7 @@
 
 #include "src/common/random.h"
 #include "src/crypto/commitment.h"
+#include "src/crypto/header_hasher.h"
 #include "src/crypto/merkle.h"
 #include "src/crypto/multisig.h"
 #include "src/crypto/schnorr.h"
@@ -27,6 +32,97 @@ void BM_Sha256(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(32)->Arg(256)->Arg(4096)->Arg(65536);
+
+// ---- SHA-256 dispatch rungs ----------------------------------------------
+//
+// Argument 0 of the per-rung benchmarks is the Sha256::Dispatch level
+// (0 scalar, 1 shani, 2 avx2); a rung this process cannot run is skipped.
+
+/// Pins `state`'s dispatch level for one benchmark; restores on exit.
+class RungScope {
+ public:
+  explicit RungScope(benchmark::State& state)
+      : saved_(Sha256::ActiveDispatch()) {
+    const auto level = static_cast<Sha256::Dispatch>(state.range(0));
+    state.SetLabel(Sha256::DispatchName(level));
+    ok_ = Sha256::SetDispatch(level);
+    if (!ok_) state.SkipWithError("dispatch level unavailable");
+  }
+  ~RungScope() { Sha256::SetDispatch(saved_); }
+  RungScope(const RungScope&) = delete;
+  RungScope& operator=(const RungScope&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  Sha256::Dispatch saved_;
+  bool ok_ = false;
+};
+
+void RungArgs(benchmark::internal::Benchmark* b) {
+  for (int level = 0; level < 3; ++level) b->Arg(level);
+}
+
+/// Two single-block compressions per iteration, so BM_Compress and
+/// BM_Compress2 time the same work.
+void BM_Compress(benchmark::State& state) {
+  RungScope rung(state);
+  if (!rung.ok()) return;
+  Rng rng(7);
+  const Bytes block_a = rng.NextBytes(Sha256::kBlockSize);
+  const Bytes block_b = rng.NextBytes(Sha256::kBlockSize);
+  std::array<uint32_t, 8> state_a = Sha256::kInitialState;
+  std::array<uint32_t, 8> state_b = Sha256::kInitialState;
+  for (auto _ : state) {
+    Sha256::Compress(state_a.data(), block_a.data());
+    Sha256::Compress(state_b.data(), block_b.data());
+    benchmark::DoNotOptimize(state_a.data());
+    benchmark::DoNotOptimize(state_b.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Compress)->Apply(RungArgs);
+
+/// The same two compressions through one Compress2 call.
+void BM_Compress2(benchmark::State& state) {
+  RungScope rung(state);
+  if (!rung.ok()) return;
+  Rng rng(7);
+  const Bytes block_a = rng.NextBytes(Sha256::kBlockSize);
+  const Bytes block_b = rng.NextBytes(Sha256::kBlockSize);
+  std::array<uint32_t, 8> state_a = Sha256::kInitialState;
+  std::array<uint32_t, 8> state_b = Sha256::kInitialState;
+  for (auto _ : state) {
+    Sha256::Compress2(state_a.data(), block_a.data(), state_b.data(),
+                      block_b.data());
+    benchmark::DoNotOptimize(state_a.data());
+    benchmark::DoNotOptimize(state_b.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Compress2)->Apply(RungArgs);
+
+/// PoW nonce search step: argument 1 nonces per PrefixesWithNonces call on
+/// a 128-byte header preimage; items processed are nonces.
+void BM_NoncePrefixes(benchmark::State& state) {
+  RungScope rung(state);
+  if (!rung.ok()) return;
+  const auto width = static_cast<size_t>(state.range(1));
+  Rng rng(8);
+  HeaderHasher hasher(rng.NextBytes(128));
+  uint64_t nonces[Sha256::kMaxLanes];
+  uint64_t prefixes[Sha256::kMaxLanes];
+  uint64_t nonce = rng.NextU64();
+  for (auto _ : state) {
+    for (size_t lane = 0; lane < width; ++lane) nonces[lane] = nonce + lane;
+    hasher.PrefixesWithNonces(nonces, width, prefixes);
+    benchmark::DoNotOptimize(prefixes);
+    benchmark::ClobberMemory();
+    nonce += width;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(1));
+}
+BENCHMARK(BM_NoncePrefixes)->ArgsProduct({{0, 1, 2}, {1, 2, 8}});
 
 void BM_SchnorrSign(benchmark::State& state) {
   KeyPair key = KeyPair::FromSeed(7);

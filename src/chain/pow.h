@@ -18,7 +18,8 @@
 
 namespace ac3::chain {
 
-/// True when `hash` has >= `difficulty_bits` leading zero bits.
+/// True when `hash` has >= `difficulty_bits` leading zero bits. Defined
+/// for every u32: a requirement above 256 bits is never met.
 bool HashMeetsDifficulty(const crypto::Hash256& hash, uint32_t difficulty_bits);
 
 /// True when the header's own hash meets its declared difficulty.
@@ -30,14 +31,15 @@ bool CheckProofOfWork(const BlockHeader& header);
 /// including the winner — a deterministic function of the seed, pinned by
 /// the committed BENCH witnesses.
 ///
-/// The search runs several interleaved lanes per loop iteration — two
-/// (HeaderHasher::HashPairWithNonces over nonce, nonce+1) on the
-/// scalar/SHA-NI SHA-256 dispatch levels, eight
-/// (HeaderHasher::HashBatchWithNonces) on the AVX2 message-parallel
-/// level — overlapping the independent SHA-256 dependency chains. Lanes
-/// are checked in ascending nonce order, so the winning nonce and the
-/// returned count are identical to MineHeaderScalar on every dispatch
-/// level — only the wall-clock per nonce changes.
+/// The search asks HeaderHasher::PrefixesWithNonces for
+/// Sha256::PreferredMiningLanes() consecutive nonces per loop iteration
+/// — two on the scalar and SHA-NI dispatch levels, eight on the AVX2
+/// message-parallel level — and compares only each digest's first 64
+/// bits; above 64 difficulty bits a zero prefix is confirmed against the
+/// full digest. Lanes are checked in ascending nonce order, so the
+/// winning nonce and the returned count are identical to
+/// MineHeaderScalar on every dispatch level — only the wall-clock per
+/// nonce changes.
 uint64_t MineHeader(BlockHeader* header, Rng* rng);
 
 /// The one-nonce-at-a-time reference search. Kept as the equivalence

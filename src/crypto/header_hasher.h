@@ -12,21 +12,25 @@
 //     of the total length, which never changes across nonce attempts);
 //   * pre-pads the fixed-shape second-hash block (32-byte digest + pad).
 //
-// A nonce attempt is then: patch 8 tail bytes, run the tail compressions
-// from the cached midstate, and one more compression for the outer hash —
-// 3 compression calls and zero allocations for the 128-byte block header
-// (the naive path is 4 compressions plus a heap re-encode).
+// For the 128-byte block header that leaves the nonce block, one constant
+// padding block and the outer block: 192 rounds per nonce, where the
+// naive path runs 256 plus a heap re-encode.
 //
-// HashPairWithNonces additionally evaluates TWO nonces per call through
-// Sha256::Compress2, which interleaves the rounds of two independent
-// compressions so their serial dependency chains overlap in the pipeline —
-// the 2-way nonce search chain::MineHeader runs on the scalar and SHA-NI
-// dispatch levels. HashBatchWithNonces generalizes to up to
-// Sha256::kMaxLanes nonces per call through Sha256::CompressBatch, which
-// the AVX2 8-way level turns into one message-parallel compression — the
-// 8-way nonce search. Per-nonce digests are bit-identical to
-// HashWithNonce on every dispatch level (pinned by tests/hotpath_test.cc
-// and tests/crypto_test.cc).
+// The nonce search itself asks only whether a hash is small, so its API,
+// PrefixesWithNonces, returns the big-endian first 64 bits of each digest
+// (what Hash256::Prefix64 reads) for up to Sha256::kMaxLanes nonces per
+// call. On the SHA-NI dispatch level, when the tail after the midstate is
+// exactly one 64-byte block (every preimage whose length is a multiple of
+// 64, the block header included), it runs a fused kernel
+// (simd::NoncePrefixesShaNi): rounds 0-13 of the nonce block and the whole
+// padding-block schedule are cached at construction, so a nonce costs
+// 50 + 64 + 64 rounds, two nonces interleaved, with no digest bytes in
+// memory. Otherwise it runs the tail compressions through
+// Sha256::CompressBatch — the AVX2 level turns a full batch of 8 into one
+// message-parallel compression per block — and reads the prefix from
+// state words 0-1. Results are bit-identical to HashWithNonce on every
+// dispatch level (pinned by tests/hotpath_test.cc and
+// tests/crypto_test.cc).
 
 #ifndef AC3_CRYPTO_HEADER_HASHER_H_
 #define AC3_CRYPTO_HEADER_HASHER_H_
@@ -37,6 +41,7 @@
 
 #include "src/crypto/hash256.h"
 #include "src/crypto/sha256.h"
+#include "src/crypto/sha256_simd.h"
 
 namespace ac3::crypto {
 
@@ -54,20 +59,13 @@ class HeaderHasher {
   /// `nonce` (little-endian). Allocation-free.
   Hash256 HashWithNonce(uint64_t nonce);
 
-  /// HashWithNonce for two nonces in one round-interleaved pass
-  /// (Sha256::Compress2): `*out_a` receives the digest for `nonce_a`,
-  /// `*out_b` for `nonce_b`. Identical per-nonce results to the scalar
-  /// path, roughly 1.5 compressions' latency per nonce instead of 3.
-  void HashPairWithNonces(uint64_t nonce_a, uint64_t nonce_b, Hash256* out_a,
-                          Hash256* out_b);
-
-  /// HashWithNonce for `n <= Sha256::kMaxLanes` nonces in one
-  /// message-parallel pass (Sha256::CompressBatch): out[i] receives the
-  /// digest for nonces[i]. On the AVX2 dispatch level a full batch of 8
-  /// runs as one 8-way compression per block; narrower batches (and
-  /// non-AVX2 levels) fall back to pair/scalar compressions with the
-  /// identical per-nonce results.
-  void HashBatchWithNonces(const uint64_t* nonces, size_t n, Hash256* out);
+  /// For each of the `n <= Sha256::kMaxLanes` nonces, the big-endian
+  /// first 64 bits of HashWithNonce(nonces[i]) — its Prefix64() — into
+  /// prefixes[i]. The kernel follows Sha256::ActiveDispatch() at call
+  /// time (fused SHA-NI kernel, or batched compressions), so a hasher may
+  /// be built under one dispatch level and queried under another.
+  void PrefixesWithNonces(const uint64_t* nonces, size_t n,
+                          uint64_t* prefixes);
 
   /// One lane of a cross-hasher batch: a nonce attempt against a specific
   /// hasher's preimage. The same hasher may occupy several lanes (with
@@ -93,17 +91,27 @@ class HeaderHasher {
   /// Writes `nonce` little-endian into `tail`'s nonce hole.
   void PatchNonce(uint8_t* tail, uint64_t nonce) const;
 
+  /// Runs lanes[i]'s tail and outer compressions, leaving the outer
+  /// chaining value (the digest's eight big-endian words) in states[i].
+  static void CompressLanes(const Lane* lanes, size_t n,
+                            std::array<uint32_t, 8>* states);
+
   /// Chaining value after the fixed 64-byte-aligned prefix.
   std::array<uint32_t, 8> midstate_;
   size_t tail_len_ = 0;     ///< Unpadded tail bytes (nonce hole at the end).
   size_t tail_blocks_ = 0;  ///< Padded tail length in 64-byte blocks.
   /// Per-lane pre-padded tail images; only the 8 nonce bytes change
-  /// between attempts (lane 0 serves the scalar path, lanes 0..1 the
-  /// pair path, lanes 0..n-1 a batch).
+  /// between attempts (lane 0 serves the scalar path, lanes 0..n-1 a
+  /// batch).
   uint8_t tails_[Sha256::kMaxLanes][kMaxTail];
   /// Per-lane pre-padded second-hash blocks; the leading 32 bytes are
   /// overwritten with the inner digest per attempt.
   uint8_t seconds_[Sha256::kMaxLanes][Sha256::kBlockSize];
+  /// Nonce-invariant state of the fused SHA-NI kernel; prepared when the
+  /// tail is one nonce block plus one padding block and the SHA-NI level
+  /// is available in this process.
+  bool nonce_plan_ready_ = false;
+  simd::NoncePlan nonce_plan_;
 };
 
 }  // namespace ac3::crypto

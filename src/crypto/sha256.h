@@ -65,13 +65,12 @@ class Sha256 {
   /// the 8-word chaining value `state` in place.
   static void Compress(uint32_t* state, const uint8_t* block);
 
-  /// Two independent compressions with their rounds interleaved in one
-  /// loop. SHA-256's 64 rounds form a serial dependency chain, so a single
-  /// compression leaves superscalar execution units idle; interleaving two
-  /// unrelated lanes gives the scheduler a second independent chain to
-  /// fill them with (on the SHA-NI level the two lanes interleave
-  /// hardware round instructions instead). This is what makes the wide
-  /// PoW nonce search faster than sequential Compress() calls.
+  /// Two independent compressions. On the scalar rung their rounds are
+  /// interleaved in one loop: SHA-256's 64 rounds form a serial
+  /// dependency chain, so a single compression leaves superscalar
+  /// execution units idle, and a second independent chain fills them. On
+  /// the SHA-NI rung it is two single compressions, which measured faster
+  /// than an interleaved pair.
   static void Compress2(uint32_t* state_a, const uint8_t* block_a,
                         uint32_t* state_b, const uint8_t* block_b);
 
@@ -90,7 +89,7 @@ class Sha256 {
   /// The hardware levels of the compression-function dispatch ladder.
   enum class Dispatch {
     kScalar,  ///< Portable C++ — always available; the equivalence oracle.
-    kShaNi,   ///< x86 SHA-NI two-block kernels (preferred when present).
+    kShaNi,   ///< x86 SHA-NI kernels (preferred when present).
     kAvx2,    ///< AVX2 8-way message-parallel kernel.
   };
 
@@ -115,7 +114,9 @@ class Sha256 {
   static bool SetDispatch(Dispatch dispatch);
 
   /// Independent nonce lanes the active level wants per mining loop
-  /// iteration: 8 on the AVX2 level, otherwise 2 (one Compress2 pair).
+  /// iteration: 8 on the AVX2 level, otherwise 2 (one Compress2 pair on
+  /// the scalar rung, one interleaved pair of the fused nonce kernel on
+  /// SHA-NI).
   static size_t PreferredMiningLanes();
 
  private:

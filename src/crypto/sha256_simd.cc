@@ -46,75 +46,200 @@ uint64_t ReadXcr0() {
 
 // ---- SHA-NI ---------------------------------------------------------------
 //
-// `lanes` (1 or 2) independent compressions. The message schedule uses
-// the standard sha256msg1/msg2 identity
+// The message schedule uses the standard sha256msg1/msg2 identity
 //   m[g] = msg2(msg1(m[g-4], m[g-3]) + alignr(m[g-1], m[g-2], 4), m[g-1])
-// (m[g] = big-endian words W[4g..4g+3]), and the 16 four-round groups run
-// with the lanes interleaved so the two sha256rnds2 dependency chains
-// overlap in the pipeline. State register juggling (ABEF/CDGH packing)
-// follows the canonical SHA-NI layout.
+// (row m[g] = big-endian words W[4g..4g+3], lane 0 first), kept in four
+// rolling rows. State register juggling (ABEF/CDGH packing) follows the
+// canonical SHA-NI layout. There is no two-block interleaved compression:
+// measured, it lost to two single ones (bench_micro_crypto BM_Compress2).
 
-AC3_TARGET_SHANI inline void ShaNiCompressLanes(
-    uint32_t* const* states, const uint8_t* const* blocks, int lanes) {
-  const __m128i kShuffle =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
-  __m128i abef[2];
-  __m128i cdgh[2];
-  __m128i save_abef[2];
-  __m128i save_cdgh[2];
-  __m128i m[2][16];
+AC3_TARGET_SHANI inline __m128i LoadRow(const uint32_t* words) {
+  return _mm_load_si128(reinterpret_cast<const __m128i*>(words));
+}
 
-  for (int l = 0; l < lanes; ++l) {
-    __m128i lo =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[l]));  // DCBA
-    __m128i hi = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(states[l] + 4));  // HGFE
-    lo = _mm_shuffle_epi32(lo, 0xB1);                      // CDAB
-    hi = _mm_shuffle_epi32(hi, 0x1B);                      // EFGH
-    abef[l] = _mm_alignr_epi8(lo, hi, 8);                  // ABEF
-    cdgh[l] = _mm_blend_epi16(hi, lo, 0xF0);               // CDGH
-    save_abef[l] = abef[l];
-    save_cdgh[l] = cdgh[l];
-    for (int g = 0; g < 4; ++g) {
-      m[l][g] = _mm_shuffle_epi8(
-          _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(blocks[l] + g * 16)),
-          kShuffle);
+AC3_TARGET_SHANI inline void StoreRow(uint32_t* words, __m128i row) {
+  _mm_store_si128(reinterpret_cast<__m128i*>(words), row);
+}
+
+/// Round constants K[4g..4g+3].
+AC3_TARGET_SHANI inline __m128i KRow(int g) { return LoadRow(kK + 4 * g); }
+
+/// Byte order of a big-endian word in a little-endian lane.
+AC3_TARGET_SHANI inline __m128i WordSwap() {
+  return _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+}
+
+/// Schedule row g (W[4g..4g+3]) of a 64-byte block, g < 4.
+AC3_TARGET_SHANI inline __m128i MessageRow(const uint8_t* block, int g) {
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * g)),
+      WordSwap());
+}
+
+/// Schedule row g from rows g-4 .. g-1.
+AC3_TARGET_SHANI inline __m128i NextRow(__m128i m4, __m128i m3, __m128i m2,
+                                        __m128i m1) {
+  return _mm_sha256msg2_epu32(
+      _mm_add_epi32(_mm_sha256msg1_epu32(m4, m3), _mm_alignr_epi8(m1, m2, 4)),
+      m1);
+}
+
+/// Rounds 4g..4g+3 on `kLanes` independent states; wk[l] is lane l's W+K
+/// row g. The lanes' sha256rnds2 dependency chains overlap.
+template <int kLanes>
+AC3_TARGET_SHANI inline void FourRounds(__m128i* abef, __m128i* cdgh,
+                                        const __m128i* wk) {
+  for (int l = 0; l < kLanes; ++l) {
+    cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk[l]);
+  }
+  for (int l = 0; l < kLanes; ++l) {
+    abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l],
+                                    _mm_shuffle_epi32(wk[l], 0x0E));
+  }
+}
+
+/// Packs a chaining value A..H into the (ABEF, CDGH) register pair.
+AC3_TARGET_SHANI inline void PackState(const uint32_t* state, __m128i* abef,
+                                       __m128i* cdgh) {
+  __m128i lo =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));  // DCBA
+  __m128i hi =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));  // HGFE
+  lo = _mm_shuffle_epi32(lo, 0xB1);       // CDAB
+  hi = _mm_shuffle_epi32(hi, 0x1B);       // EFGH
+  *abef = _mm_alignr_epi8(lo, hi, 8);     // ABEF
+  *cdgh = _mm_blend_epi16(hi, lo, 0xF0);  // CDGH
+}
+
+/// Inverse of PackState.
+AC3_TARGET_SHANI inline void UnpackState(__m128i abef, __m128i cdgh,
+                                         uint32_t* state) {
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));  // HGFE
+}
+
+// ---- SHA-NI fused nonce kernel -------------------------------------------
+//
+// Double SHA-256 of a message whose last data block carries the nonce in
+// W14/W15, with `kLanes` nonces interleaved round group by round group.
+// NoncePlan holds everything that does not depend on the nonce; the
+// kernel hands the inner chaining value to the outer block by register
+// shuffles and extracts H0||H1 without storing a digest.
+
+template <int kLanes>
+AC3_TARGET_SHANI inline void NoncePrefixLanes(const NoncePlan& plan,
+                                              const uint64_t* nonces,
+                                              uint64_t* prefixes) {
+  __m128i abef[kLanes];
+  __m128i cdgh[kLanes];
+  __m128i wk[kLanes];
+  __m128i m[kLanes][4];  // Row g lives in m[l][g & 3].
+
+  // Nonce block, rounds 14-15: the little-endian nonce becomes W14/W15
+  // when the raw last row is byte-swapped like any other.
+  const __m128i last_row =
+      _mm_load_si128(reinterpret_cast<const __m128i*>(plan.last_row));
+  for (int l = 0; l < kLanes; ++l) {
+    m[l][3] = _mm_shuffle_epi8(
+        _mm_blend_epi16(last_row,
+                        _mm_set_epi64x(static_cast<long long>(nonces[l]), 0),
+                        0xF0),
+        WordSwap());
+    abef[l] = LoadRow(plan.after_round13[0]);
+    cdgh[l] = LoadRow(plan.after_round13[1]);
+    wk[l] = _mm_add_epi32(m[l][3], KRow(3));
+    abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l],
+                                    _mm_shuffle_epi32(wk[l], 0x0E));
+  }
+  // Rows 4-6 complete their cached nonce-free halves; 7-15 are general.
+  for (int l = 0; l < kLanes; ++l) {
+    m[l][0] = _mm_sha256msg2_epu32(LoadRow(plan.schedule[0]), m[l][3]);
+    wk[l] = _mm_add_epi32(m[l][0], KRow(4));
+  }
+  FourRounds<kLanes>(abef, cdgh, wk);
+  for (int l = 0; l < kLanes; ++l) {
+    m[l][1] = _mm_sha256msg2_epu32(
+        _mm_add_epi32(LoadRow(plan.schedule[1]),
+                      _mm_alignr_epi8(m[l][0], m[l][3], 4)),
+        m[l][0]);
+    wk[l] = _mm_add_epi32(m[l][1], KRow(5));
+  }
+  FourRounds<kLanes>(abef, cdgh, wk);
+  for (int l = 0; l < kLanes; ++l) {
+    m[l][2] = _mm_sha256msg2_epu32(
+        _mm_add_epi32(LoadRow(plan.schedule[2]),
+                      _mm_alignr_epi8(m[l][1], m[l][0], 4)),
+        m[l][1]);
+    wk[l] = _mm_add_epi32(m[l][2], KRow(6));
+  }
+  FourRounds<kLanes>(abef, cdgh, wk);
+#pragma GCC unroll 16
+  for (int g = 7; g < 16; ++g) {
+    for (int l = 0; l < kLanes; ++l) {
+      m[l][g & 3] = NextRow(m[l][g & 3], m[l][(g + 1) & 3],
+                            m[l][(g + 2) & 3], m[l][(g + 3) & 3]);
+      wk[l] = _mm_add_epi32(m[l][g & 3], KRow(g));
     }
+    FourRounds<kLanes>(abef, cdgh, wk);
+  }
+  __m128i inner_abef[kLanes];
+  __m128i inner_cdgh[kLanes];
+  for (int l = 0; l < kLanes; ++l) {
+    inner_abef[l] = _mm_add_epi32(abef[l], LoadRow(plan.midstate[0]));
+    inner_cdgh[l] = _mm_add_epi32(cdgh[l], LoadRow(plan.midstate[1]));
+    abef[l] = inner_abef[l];
+    cdgh[l] = inner_cdgh[l];
   }
 
-  for (int g = 4; g < 16; ++g) {
-    for (int l = 0; l < lanes; ++l) {
-      m[l][g] = _mm_sha256msg2_epu32(
-          _mm_add_epi32(_mm_sha256msg1_epu32(m[l][g - 4], m[l][g - 3]),
-                        _mm_alignr_epi8(m[l][g - 1], m[l][g - 2], 4)),
-          m[l][g - 1]);
-    }
-  }
-
+  // Padding block: a fixed schedule, so every row's W+K is cached.
+#pragma GCC unroll 16
   for (int g = 0; g < 16; ++g) {
-    const __m128i k =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + g * 4));
-    __m128i wk[2];
-    for (int l = 0; l < lanes; ++l) {
-      wk[l] = _mm_add_epi32(m[l][g], k);
-      cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk[l]);
-    }
-    for (int l = 0; l < lanes; ++l) {
-      wk[l] = _mm_shuffle_epi32(wk[l], 0x0E);
-      abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l], wk[l]);
-    }
+    for (int l = 0; l < kLanes; ++l) wk[l] = LoadRow(plan.padding_wk[g]);
+    FourRounds<kLanes>(abef, cdgh, wk);
   }
 
-  for (int l = 0; l < lanes; ++l) {
-    abef[l] = _mm_add_epi32(abef[l], save_abef[l]);
-    cdgh[l] = _mm_add_epi32(cdgh[l], save_cdgh[l]);
-    const __m128i feba = _mm_shuffle_epi32(abef[l], 0x1B);
-    const __m128i dchg = _mm_shuffle_epi32(cdgh[l], 0xB1);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(states[l]),
-                     _mm_blend_epi16(feba, dchg, 0xF0));  // DCBA
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(states[l] + 4),
-                     _mm_alignr_epi8(dchg, feba, 8));  // HGFE
+  // Outer block: W0-W7 are the inner state (A..H) in order, then the
+  // padding of a 32-byte message; it starts from H(0).
+  const __m128i initial_abef = _mm_set_epi32(
+      static_cast<int>(0x6a09e667u), static_cast<int>(0xbb67ae85u),
+      static_cast<int>(0x510e527fu), static_cast<int>(0x9b05688cu));
+  const __m128i initial_cdgh = _mm_set_epi32(
+      static_cast<int>(0x3c6ef372u), static_cast<int>(0xa54ff53au),
+      static_cast<int>(0x1f83d9abu), static_cast<int>(0x5be0cd19u));
+  for (int l = 0; l < kLanes; ++l) {
+    const __m128i bafe =
+        _mm_shuffle_epi32(_mm_add_epi32(abef[l], inner_abef[l]), 0x1B);
+    const __m128i dchg =
+        _mm_shuffle_epi32(_mm_add_epi32(cdgh[l], inner_cdgh[l]), 0x1B);
+    m[l][0] = _mm_unpacklo_epi64(bafe, dchg);  // A B C D
+    m[l][1] = _mm_unpackhi_epi64(bafe, dchg);  // E F G H
+    m[l][2] = _mm_set_epi32(0, 0, 0, static_cast<int>(0x80000000u));
+    m[l][3] = _mm_set_epi32(256, 0, 0, 0);
+    abef[l] = initial_abef;
+    cdgh[l] = initial_cdgh;
+  }
+#pragma GCC unroll 16
+  for (int g = 0; g < 16; ++g) {
+    for (int l = 0; l < kLanes; ++l) {
+      if (g >= 4) {
+        m[l][g & 3] = NextRow(m[l][g & 3], m[l][(g + 1) & 3],
+                              m[l][(g + 2) & 3], m[l][(g + 3) & 3]);
+      }
+      wk[l] = _mm_add_epi32(m[l][g & 3], KRow(g));
+    }
+    FourRounds<kLanes>(abef, cdgh, wk);
+  }
+  // H0 and H1 sit in lanes 3 and 2 of ABEF.
+  for (int l = 0; l < kLanes; ++l) {
+    const __m128i out = _mm_add_epi32(abef[l], initial_abef);
+    prefixes[l] =
+        static_cast<uint64_t>(static_cast<uint32_t>(_mm_extract_epi32(out, 3)))
+            << 32 |
+        static_cast<uint32_t>(_mm_extract_epi32(out, 2));
   }
 }
 
@@ -218,9 +343,7 @@ AC3_TARGET_AVX2 void Compress8Avx2Impl(uint32_t* const* states,
   }
 }
 
-}  // namespace
-
-bool CpuHasShaNi() {
+bool ProbeShaNi() {
   unsigned a = 0, b = 0, c = 0, d = 0;
   if (!__get_cpuid(1, &a, &b, &c, &d)) return false;
   if (!(c & bit_SSE4_1) || !(c & bit_SSSE3)) return false;
@@ -228,7 +351,7 @@ bool CpuHasShaNi() {
   return (b & bit_SHA) != 0;
 }
 
-bool CpuHasAvx2() {
+bool ProbeAvx2() {
   unsigned a = 0, b = 0, c = 0, d = 0;
   if (!__get_cpuid(1, &a, &b, &c, &d)) return false;
   // The OS must have enabled XMM+YMM state saving for AVX2 to be usable.
@@ -238,24 +361,85 @@ bool CpuHasAvx2() {
   return (b & bit_AVX2) != 0;
 }
 
-AC3_TARGET_SHANI void CompressShaNi(uint32_t* state, const uint8_t* block) {
-  uint32_t* const states[1] = {state};
-  const uint8_t* const blocks[1] = {block};
-  ShaNiCompressLanes(states, blocks, 1);
+}  // namespace
+
+// cpuid can trap to the hypervisor, and a HeaderHasher asks per header.
+bool CpuHasShaNi() {
+  static const bool has = ProbeShaNi();
+  return has;
 }
 
-AC3_TARGET_SHANI void Compress2ShaNi(uint32_t* state_a,
-                                     const uint8_t* block_a,
-                                     uint32_t* state_b,
-                                     const uint8_t* block_b) {
-  uint32_t* const states[2] = {state_a, state_b};
-  const uint8_t* const blocks[2] = {block_a, block_b};
-  ShaNiCompressLanes(states, blocks, 2);
+bool CpuHasAvx2() {
+  static const bool has = ProbeAvx2();
+  return has;
+}
+
+AC3_TARGET_SHANI void CompressShaNi(uint32_t* state, const uint8_t* block) {
+  __m128i abef;
+  __m128i cdgh;
+  PackState(state, &abef, &cdgh);
+  const __m128i save_abef = abef;
+  const __m128i save_cdgh = cdgh;
+  __m128i m[4];
+#pragma GCC unroll 16
+  for (int g = 0; g < 16; ++g) {
+    m[g & 3] = g < 4 ? MessageRow(block, g)
+                     : NextRow(m[g & 3], m[(g + 1) & 3], m[(g + 2) & 3],
+                               m[(g + 3) & 3]);
+    const __m128i wk = _mm_add_epi32(m[g & 3], KRow(g));
+    FourRounds<1>(&abef, &cdgh, &wk);
+  }
+  UnpackState(_mm_add_epi32(abef, save_abef), _mm_add_epi32(cdgh, save_cdgh),
+              state);
 }
 
 AC3_TARGET_AVX2 void Compress8Avx2(uint32_t* const* states,
                                    const uint8_t* const* blocks) {
   Compress8Avx2Impl(states, blocks);
+}
+
+AC3_TARGET_SHANI void PrepareNoncePlanShaNi(const uint32_t* midstate,
+                                            const uint8_t* tail,
+                                            NoncePlan* plan) {
+  __m128i abef;
+  __m128i cdgh;
+  PackState(midstate, &abef, &cdgh);
+  StoreRow(plan->midstate[0], abef);
+  StoreRow(plan->midstate[1], cdgh);
+  __m128i m[4];
+  for (int g = 0; g < 4; ++g) m[g] = MessageRow(tail, g);
+  // Rounds 0-11, then 12-13: the low half of row 3 is W12/W13.
+  for (int g = 0; g < 3; ++g) {
+    const __m128i wk = _mm_add_epi32(m[g], KRow(g));
+    FourRounds<1>(&abef, &cdgh, &wk);
+  }
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, _mm_add_epi32(m[3], KRow(3)));
+  StoreRow(plan->after_round13[0], abef);
+  StoreRow(plan->after_round13[1], cdgh);
+  std::memcpy(plan->last_row, tail + 48, sizeof(plan->last_row));
+  // msg1 reads only the first word of its second row, so msg1(row 2,
+  // row 3) sees W12 but not the nonce; likewise alignr(row 3, row 2).
+  StoreRow(plan->schedule[0],
+           _mm_add_epi32(_mm_sha256msg1_epu32(m[0], m[1]),
+                         _mm_alignr_epi8(m[3], m[2], 4)));
+  StoreRow(plan->schedule[1], _mm_sha256msg1_epu32(m[1], m[2]));
+  StoreRow(plan->schedule[2], _mm_sha256msg1_epu32(m[2], m[3]));
+
+  const uint8_t* padding = tail + 64;
+  __m128i p[16];
+  for (int g = 0; g < 16; ++g) {
+    p[g] = g < 4 ? MessageRow(padding, g)
+                 : NextRow(p[g - 4], p[g - 3], p[g - 2], p[g - 1]);
+    StoreRow(plan->padding_wk[g], _mm_add_epi32(p[g], KRow(g)));
+  }
+}
+
+AC3_TARGET_SHANI void NoncePrefixesShaNi(const NoncePlan& plan,
+                                         const uint64_t* nonces, size_t n,
+                                         uint64_t* prefixes) {
+  size_t i = 0;
+  for (; i + 2 <= n; i += 2) NoncePrefixLanes<2>(plan, nonces + i, prefixes + i);
+  if (i < n) NoncePrefixLanes<1>(plan, nonces + i, prefixes + i);
 }
 
 #endif  // AC3_SHA256_X86

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -97,6 +99,42 @@ TEST(BlockTest, HeaderRoundTrip) {
 
 TEST(PowTest, DifficultyZeroAlwaysPasses) {
   EXPECT_TRUE(HashMeetsDifficulty(crypto::Hash256::OfString("x"), 0));
+}
+
+// A digest with exactly `zeros` leading zero bits (all zero at 256).
+crypto::Hash256 DigestWithLeadingZeros(uint32_t zeros) {
+  std::array<uint8_t, crypto::Hash256::kSize> bytes;
+  bytes.fill(0xa5);
+  for (uint32_t bit = 0; bit <= zeros && bit < 256; ++bit) {
+    const uint8_t mask = static_cast<uint8_t>(0x80u >> (bit % 8));
+    if (bit < zeros) {
+      bytes[bit / 8] &= static_cast<uint8_t>(~mask);
+    } else {
+      bytes[bit / 8] |= mask;
+    }
+  }
+  return crypto::Hash256(bytes);
+}
+
+// Difficulty is a decoded u32 on the evidence and light-client paths, so
+// every value must give a defined answer: exact at the 64-bit prefix
+// boundary, counted over the whole digest beyond it, and never met above
+// 256 bits.
+TEST(PowTest, DifficultyCountsLeadingZerosOverWholeDigest) {
+  for (uint32_t zeros : {0u, 1u, 63u, 64u, 65u, 128u, 255u}) {
+    const crypto::Hash256 hash = DigestWithLeadingZeros(zeros);
+    EXPECT_TRUE(HashMeetsDifficulty(hash, zeros)) << zeros;
+    EXPECT_FALSE(HashMeetsDifficulty(hash, zeros + 1)) << zeros;
+    EXPECT_TRUE(HashMeetsDifficulty(hash, 0)) << zeros;
+    EXPECT_FALSE(HashMeetsDifficulty(hash, 256)) << zeros;
+    EXPECT_FALSE(HashMeetsDifficulty(hash, UINT32_MAX)) << zeros;
+  }
+  const crypto::Hash256 zero;
+  for (uint32_t bits : {0u, 1u, 63u, 64u, 65u, 128u, 256u}) {
+    EXPECT_TRUE(HashMeetsDifficulty(zero, bits)) << bits;
+  }
+  EXPECT_FALSE(HashMeetsDifficulty(zero, 257));
+  EXPECT_FALSE(HashMeetsDifficulty(zero, UINT32_MAX));
 }
 
 TEST(PowTest, MineHeaderSatisfiesTarget) {

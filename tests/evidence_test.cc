@@ -5,6 +5,8 @@
 
 #include "src/contracts/evidence.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "src/contracts/evidence_builder.h"
@@ -211,6 +213,28 @@ TEST_F(EvidenceTest, HigherDifficultyRequirementRejected) {
       asset_.chain().genesis()->block.header,
       /*required_difficulty_bits=*/30, *evidence, 0);
   EXPECT_FALSE(status.ok());
+}
+
+// The required difficulty is a u32 decoded from a contract payload; when
+// the headers declare the same value, the PoW check must reject it rather
+// than fault, however large it is.
+TEST_F(EvidenceTest, OutOfRangeDifficultyRejected) {
+  auto transfer = alice_asset_.BuildTransfer(asset_.chain().StateAtHead(),
+                                             kBob.public_key(), 10, 1, 1);
+  ASSERT_TRUE(transfer.ok());
+  ASSERT_TRUE(asset_.MineTxToDepth(*transfer, 2).ok());
+  auto evidence = BuildTxEvidence(
+      asset_.chain(), asset_.chain().genesis()->hash, transfer->Id());
+  ASSERT_TRUE(evidence.ok());
+  for (uint32_t bits : {64u, 300u, UINT32_MAX}) {
+    HeaderChainEvidence declared = *evidence;
+    for (chain::BlockHeader& header : declared.headers) {
+      header.difficulty_bits = bits;
+    }
+    Status status = VerifyHeaderChainEvidence(
+        asset_.chain().genesis()->block.header, bits, declared, 0);
+    EXPECT_EQ(status.code(), StatusCode::kVerificationFailed) << bits;
+  }
 }
 
 TEST_F(EvidenceTest, SwappedLeafRejectedByMerkleProof) {

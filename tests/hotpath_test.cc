@@ -98,53 +98,49 @@ TEST(MineHeaderTest, ProducesValidPowFromMidstate) {
   EXPECT_TRUE(chain::CheckProofOfWork(header));
 }
 
-TEST(HeaderHasherTest, PairLanesMatchScalarDigests) {
-  Rng rng(424242);
-  for (int trial = 0; trial < 8; ++trial) {
-    chain::BlockHeader header = RandomHeader(&rng);
-    uint8_t preimage[chain::BlockHeader::kEncodedSize];
-    header.EncodeTo(preimage);
-    crypto::HeaderHasher hasher(preimage);
-    for (int n = 0; n < 8; ++n) {
-      const uint64_t nonce_a = rng.NextU64();
-      const uint64_t nonce_b = rng.NextU64();
-      crypto::Hash256 pair_a;
-      crypto::Hash256 pair_b;
-      hasher.HashPairWithNonces(nonce_a, nonce_b, &pair_a, &pair_b);
-      EXPECT_EQ(pair_a, hasher.HashWithNonce(nonce_a));
-      EXPECT_EQ(pair_b, hasher.HashWithNonce(nonce_b));
-      // Scalar calls in between must not perturb later pair calls.
-      hasher.HashPairWithNonces(nonce_b, nonce_a, &pair_b, &pair_a);
-      EXPECT_EQ(pair_a, hasher.HashWithNonce(nonce_a));
-      EXPECT_EQ(pair_b, hasher.HashWithNonce(nonce_b));
-    }
-  }
-}
-
 using ::ac3::testutil::AvailableDispatches;
 using ::ac3::testutil::DispatchGuard;
 
-// The batch hasher must agree with the scalar hasher for every batch
-// width up to kMaxLanes, on every available dispatch level (this is the
-// digest seam the 8-way AVX2 nonce search rides).
-TEST(HeaderHasherTest, BatchLanesMatchScalarDigestsOnEveryDispatch) {
+// PrefixesWithNonces must return exactly the Prefix64 of the scalar
+// oracle's digest: for every batch width up to kMaxLanes, at the nonce
+// edges where the W14/W15 halves carry or wrap, for preimage lengths that
+// take the fused SHA-NI kernel (128, 192) and the batched compressions
+// (72, 100, 129), and for a hasher built under one dispatch level and
+// queried under another (the kernel is picked per call).
+TEST(HeaderHasherTest, PrefixesMatchFullDigestOnEveryDispatch) {
   DispatchGuard guard;
   Rng rng(887766);
-  for (crypto::Sha256::Dispatch level : AvailableDispatches()) {
-    ASSERT_TRUE(crypto::Sha256::SetDispatch(level));
-    chain::BlockHeader header = RandomHeader(&rng);
-    uint8_t preimage[chain::BlockHeader::kEncodedSize];
-    header.EncodeTo(preimage);
-    crypto::HeaderHasher hasher(preimage);
-    for (size_t n = 1; n <= crypto::Sha256::kMaxLanes; ++n) {
-      uint64_t nonces[crypto::Sha256::kMaxLanes];
-      crypto::Hash256 batch[crypto::Sha256::kMaxLanes];
-      for (size_t lane = 0; lane < n; ++lane) nonces[lane] = rng.NextU64();
-      hasher.HashBatchWithNonces(nonces, n, batch);
-      for (size_t lane = 0; lane < n; ++lane) {
-        EXPECT_EQ(batch[lane], hasher.HashWithNonce(nonces[lane]))
-            << "level " << crypto::Sha256::DispatchName(level) << " n " << n
-            << " lane " << lane;
+  std::vector<uint64_t> pool = {0, 1, 0xffffffffULL, 0x100000000ULL,
+                                UINT64_MAX};
+  while (pool.size() < 16) pool.push_back(rng.NextU64());
+  for (size_t len : {72u, 100u, 128u, 129u, 192u}) {
+    Bytes preimage;
+    for (size_t i = 0; i < len; ++i) {
+      preimage.push_back(static_cast<uint8_t>(rng.NextU64()));
+    }
+    for (crypto::Sha256::Dispatch built : AvailableDispatches()) {
+      ASSERT_TRUE(crypto::Sha256::SetDispatch(built));
+      crypto::HeaderHasher hasher(preimage);
+      for (crypto::Sha256::Dispatch queried : AvailableDispatches()) {
+        ASSERT_TRUE(crypto::Sha256::SetDispatch(queried));
+        for (size_t n = 1; n <= crypto::Sha256::kMaxLanes; ++n) {
+          for (size_t start = 0; start < pool.size(); ++start) {
+            uint64_t nonces[crypto::Sha256::kMaxLanes];
+            uint64_t prefixes[crypto::Sha256::kMaxLanes];
+            for (size_t lane = 0; lane < n; ++lane) {
+              nonces[lane] = pool[(start + lane) % pool.size()];
+            }
+            hasher.PrefixesWithNonces(nonces, n, prefixes);
+            for (size_t lane = 0; lane < n; ++lane) {
+              ASSERT_EQ(prefixes[lane],
+                        hasher.HashWithNonce(nonces[lane]).Prefix64())
+                  << "len " << len << " built "
+                  << crypto::Sha256::DispatchName(built) << " queried "
+                  << crypto::Sha256::DispatchName(queried) << " n " << n
+                  << " nonce " << nonces[lane];
+            }
+          }
+        }
       }
     }
   }

@@ -4,6 +4,8 @@
 
 #include "src/chain/light_client.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "tests/test_util.h"
@@ -87,6 +89,22 @@ TEST_F(LightClientTest, RejectsWrongDeclaredDifficulty) {
   weak.difficulty_bits = 0;  // Declares trivial PoW.
   Status status = client_.AcceptHeader(weak);
   EXPECT_EQ(status.code(), StatusCode::kVerificationFailed);
+}
+
+// A light client configured (from a decoded u32) with a difficulty no
+// mined header meets must reject such headers rather than fault.
+TEST_F(LightClientTest, RejectsOutOfRangeDifficulty) {
+  ASSERT_TRUE(full_.MineEmpty(1).ok());
+  auto headers = full_.chain().HeadersAfter(full_.chain().genesis()->hash);
+  ASSERT_TRUE(headers.ok());
+  for (uint32_t bits : {64u, 300u, UINT32_MAX}) {
+    LightClient client(full_.chain().genesis()->block.header, bits);
+    BlockHeader header = (*headers)[0];
+    header.difficulty_bits = bits;
+    EXPECT_EQ(client.AcceptHeader(header).code(),
+              StatusCode::kVerificationFailed)
+        << bits;
+  }
 }
 
 TEST_F(LightClientTest, AcceptHeaderIsIdempotent) {
