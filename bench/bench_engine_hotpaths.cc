@@ -277,8 +277,10 @@ PruneDeltaRun RunPruneDelta(size_t pool_txs, int chunk, int repeats) {
   for (int r = 0; r < repeats; ++r) {
     chain::Mempool set_pool;
     chain::Mempool span_pool;
-    (void)set_pool.SubmitBatch(std::span<const chain::Transaction>(batch), 0);
-    (void)span_pool.SubmitBatch(std::span<const chain::Transaction>(batch), 0);
+    for (const chain::Transaction& tx : batch) {
+      (void)set_pool.Submit(tx, 0);
+      (void)span_pool.Submit(tx, 0);
+    }
     for (size_t at = 0; at < ids.size(); at += static_cast<size_t>(chunk)) {
       const size_t end = std::min(at + static_cast<size_t>(chunk), ids.size());
       const Clock::time_point t_set = Clock::now();

@@ -21,7 +21,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,18 +40,6 @@ using Clock = std::chrono::steady_clock;
 double ElapsedMs(Clock::time_point since) {
   return std::chrono::duration<double, std::milli>(Clock::now() - since)
       .count();
-}
-
-/// VmHWM from /proc/self/status, in bytes (0 if unavailable — non-Linux).
-size_t ReadPeakRssBytes() {
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::strtoull(line.c_str() + 6, nullptr, 10) * 1024;
-    }
-  }
-  return 0;
 }
 
 struct CellConfig {
@@ -367,7 +354,7 @@ int main(int argc, char** argv) {
                 run.build_ms, run.lookup_ops_per_sec, run.ns_per_lookup);
     runs.push_back(std::move(run));
   }
-  const size_t peak_rss = ReadPeakRssBytes();
+  const size_t peak_rss = benchutil::ReadPeakRssBytes();
   std::printf("\npeak RSS %.1f MiB (declared ceiling %.0f MiB) — "
               "sharded vs oracle: %s\n",
               static_cast<double>(peak_rss) / (1024.0 * 1024.0),

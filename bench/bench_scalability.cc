@@ -33,14 +33,14 @@ namespace {
 
 constexpr TimePoint kDeadline = Minutes(60);
 
-struct BatchResult {
+struct SwapBatchResult {
   int witness_networks = 0;
   int swaps = 0;
   double makespan_ms = 0;  ///< Start of batch to last swap completion.
   std::vector<runner::RunOutcome> outcomes;
 };
 
-BatchResult RunBatch(int witness_networks, int swaps, uint64_t seed) {
+SwapBatchResult RunBatch(int witness_networks, int swaps, uint64_t seed) {
   core::ScenarioOptions options;
   options.participants = 2 * swaps;
   options.asset_chains = 2;
@@ -71,7 +71,7 @@ BatchResult RunBatch(int witness_networks, int swaps, uint64_t seed) {
   protocols::Ac3wnConfig config = benchutil::FastAc3wnConfig();
   config.publish_patience = Seconds(120);
 
-  BatchResult result;
+  SwapBatchResult result;
   result.witness_networks = witness_networks;
   result.swaps = swaps;
 
@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   // count axis across the worker pool.
   runner::SweepRunner pool(context.threads);
   const auto batches_start = std::chrono::steady_clock::now();
-  std::vector<BatchResult> batches = pool.Map<BatchResult>(
+  std::vector<SwapBatchResult> batches = pool.Map<SwapBatchResult>(
       static_cast<int>(witness_counts.size()), [&](int i) {
         const int w = witness_counts[static_cast<size_t>(i)];
         return RunBatch(w, swaps, 9100 + static_cast<uint64_t>(w));
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
   benchutil::PrintRule(75);
 
   runner::Json rows = runner::Json::Array();
-  for (const BatchResult& batch : batches) {
+  for (const SwapBatchResult& batch : batches) {
     runner::SweepAggregate agg = runner::Aggregate(batch.outcomes, delta_ms);
     std::printf("%10d | %7d/%-2d | %14.0f | %17.0f | %10.1f\n",
                 batch.witness_networks, agg.committed, batch.swaps,

@@ -1,7 +1,7 @@
 // Shared presentation-layer scaffolding for the experiment harnesses:
 // the uniform bench CLI (bench::Options), "fast profile" engine
-// configurations, ring-graph construction over a ScenarioWorld, and
-// fixed-width table printing. Measurement, parallel sweeping, and
+// configurations, ring-graph construction over a ScenarioWorld, peak-RSS
+// reading, and fixed-width table printing. Measurement, parallel sweeping, and
 // machine-readable output live in src/runner/.
 
 #ifndef AC3_BENCH_BENCH_UTIL_H_
@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -239,6 +240,18 @@ inline protocols::HtlcConfig FastHtlcConfig() {
 inline graph::Ac2tGraph MakeRingOverWorld(core::ScenarioWorld* world, int n,
                                           chain::Amount amount = 100) {
   return runner::RingOverWorld(world, n, amount);
+}
+
+/// VmHWM from /proc/self/status, in bytes (0 if unavailable — non-Linux).
+inline size_t ReadPeakRssBytes() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtoull(line.c_str() + 6, nullptr, 10) * 1024;
+    }
+  }
+  return 0;
 }
 
 // NOTE: the empirical Δ measurement lives in src/runner/sweep_runner.h

@@ -429,8 +429,7 @@ Result<Block> Blockchain::AssembleBlock(
 Result<Block> Blockchain::AssembleBlock(
     const crypto::Hash256& parent_hash,
     std::span<const Transaction* const> candidates,
-    const crypto::PublicKey& miner, TimePoint now, Rng* rng,
-    bool mine) const {
+    const crypto::PublicKey& miner, TimePoint now, Rng* rng) const {
   const BlockEntry* parent = Get(parent_hash);
   if (parent == nullptr) return Status::NotFound("unknown parent");
 
@@ -502,7 +501,7 @@ Result<Block> Blockchain::AssembleBlock(
   }
   block.header.tx_root = crypto::MerkleTree::RootOf(tx_ids);
   block.header.receipt_root = block.ComputeReceiptRoot();
-  if (mine) MineHeader(&block.header, rng);
+  MineHeader(&block.header, rng);
   return block;
 }
 

@@ -176,16 +176,13 @@ class Blockchain {
                               const crypto::PublicKey& miner,
                               TimePoint now, Rng* rng) const;
 
-  /// The allocation-light overload for the ingestion hot path: candidates
+  /// The allocation-light overload for the mining hot path: candidates
   /// by pointer (Mempool::CandidatePointersAt — rejected candidates are
-  /// never copied), and optionally unmined — `mine = false` skips the
-  /// nonce search, leaving header.nonce at zero, so a caller can batch
-  /// the search across many miners' assembled headers (MineHeaderBatch)
-  /// and submit only the contention winner.
+  /// never copied).
   Result<Block> AssembleBlock(const crypto::Hash256& parent_hash,
                               std::span<const Transaction* const> candidates,
                               const crypto::PublicKey& miner, TimePoint now,
-                              Rng* rng, bool mine = true) const;
+                              Rng* rng) const;
 
  private:
   /// What validation derives from a block body and commit consumes: the

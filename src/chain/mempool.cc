@@ -24,38 +24,6 @@ Status Mempool::Submit(const Transaction& tx, TimePoint arrival) {
   return Status::OK();
 }
 
-Mempool::BatchResult Mempool::SubmitBatch(std::span<const Transaction> txs,
-                                          TimePoint arrival) {
-  BatchResult result;
-  result.statuses.reserve(txs.size());
-  if (!entries_.empty() && entries_.back().arrival > arrival) {
-    // Out-of-order arrival (tests, replays): the per-entry insert position
-    // matters, so delegate to the stable-sort Submit path.
-    for (const Transaction& tx : txs) {
-      Status status = Submit(tx, arrival);
-      if (status.ok()) ++result.accepted;
-      result.statuses.push_back(std::move(status));
-    }
-    return result;
-  }
-  // Monotone (production) path: every accepted entry appends, so both
-  // containers grow at most once for the whole batch.
-  entries_.reserve(entries_.size() + txs.size());
-  ids_.reserve(ids_.size() + txs.size());
-  for (const Transaction& tx : txs) {
-    const crypto::Hash256 id = tx.Id();
-    if (!ids_.insert(id).second) {  // Covers in-batch duplicates too.
-      result.statuses.push_back(
-          Status::AlreadyExists("transaction already in mempool"));
-      continue;
-    }
-    entries_.push_back(Entry{arrival, tx, id});
-    ++result.accepted;
-    result.statuses.push_back(Status::OK());
-  }
-  return result;
-}
-
 std::vector<Transaction> Mempool::CandidatesAt(
     TimePoint now, const TxFilter& already_included) const {
   std::vector<Transaction> out;

@@ -35,22 +35,6 @@ class Mempool {
   /// Queues `tx`; duplicates by id are rejected.
   Status Submit(const Transaction& tx, TimePoint arrival);
 
-  /// Outcome of one SubmitBatch call.
-  struct BatchResult {
-    size_t accepted = 0;  ///< Transactions queued.
-    /// One status per input transaction, in input order — exactly what a
-    /// serial Submit loop over the same sequence would have returned
-    /// (in-batch duplicates reject like cross-batch ones).
-    std::vector<Status> statuses;
-  };
-
-  /// Queues a batch sharing one arrival time — the open-world ingestion
-  /// path (a node draining its network queue once per tick). Semantically
-  /// identical to calling Submit(tx, arrival) on each element in order,
-  /// but the id index and entry vector grow once for the whole batch and
-  /// the duplicate check is a single pass.
-  BatchResult SubmitBatch(std::span<const Transaction> txs, TimePoint arrival);
-
   /// Transactions visible at `now` for which `already_included` returns
   /// false, in arrival order.
   std::vector<Transaction> CandidatesAt(TimePoint now,
@@ -63,7 +47,7 @@ class Mempool {
   /// CandidatesAt without copying any Transaction: arrival-ordered
   /// pointers into the pool, for the assembly hot path (a miner inspects
   /// hundreds of candidates per block and copies none of the rejects).
-  /// Pointers are invalidated by the next Submit/SubmitBatch/Prune.
+  /// Pointers are invalidated by the next Submit/Prune.
   std::vector<const Transaction*> CandidatePointersAt(
       TimePoint now, const TxFilter& already_included) const;
 

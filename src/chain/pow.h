@@ -9,8 +9,7 @@
 #ifndef AC3_CHAIN_POW_H_
 #define AC3_CHAIN_POW_H_
 
-#include <span>
-#include <vector>
+#include <cstdint>
 
 #include "src/chain/block.h"
 #include "src/common/random.h"
@@ -46,25 +45,6 @@ uint64_t MineHeader(BlockHeader* header, Rng* rng);
 /// oracle for MineHeader (tests assert identical winning nonces and eval
 /// counts across a seed/difficulty grid); not used on the hot path.
 uint64_t MineHeaderScalar(BlockHeader* header, Rng* rng);
-
-/// Mines every header in `headers` — multi-miner contention in one batch.
-/// Returns the per-header eval counts, index-aligned with `headers`.
-///
-/// Semantically identical to calling MineHeader(headers[i], rng) in index
-/// order: each header's start nonce is drawn from `rng` in that order
-/// (MineHeader draws exactly one NextU64 per call), each header's nonces
-/// are visited ascending from its start, and eval counts are "nonces
-/// visited up to and including the winner" — so winning nonces and counts
-/// match the per-header loop (and hence MineHeaderScalar) on every
-/// SHA-256 dispatch level. The difference is occupancy: every loop
-/// iteration fills all Sha256::PreferredMiningLanes() lanes with attempts
-/// spread across the still-unsolved headers (HeaderHasher's cross-hasher
-/// HashLanesWithNonces), so the AVX2 8-way rung runs full even when each
-/// miner's difficulty is low — the realistic many-miners-low-difficulty
-/// regime, where per-miner MineHeader would run short, underfilled
-/// batches.
-std::vector<uint64_t> MineHeaderBatch(std::span<BlockHeader* const> headers,
-                                      Rng* rng);
 
 /// Expected work contributed by one block of the given difficulty
 /// (2^difficulty_bits hash evaluations). Used by the longest-chain rule.

@@ -109,54 +109,37 @@ void HeaderHasher::PrefixesWithNonces(const uint64_t* nonces, size_t n,
     return;
   }
 #endif
-  Lane lanes[Sha256::kMaxLanes];
-  for (size_t i = 0; i < n; ++i) lanes[i] = Lane{this, nonces[i]};
   std::array<uint32_t, 8> states[Sha256::kMaxLanes];
-  CompressLanes(lanes, n, states);
+  CompressLanes(nonces, n, states);
   for (size_t i = 0; i < n; ++i) {
     prefixes[i] = static_cast<uint64_t>(states[i][0]) << 32 | states[i][1];
   }
 }
 
-void HeaderHasher::CompressLanes(const Lane* lanes, size_t n,
+void HeaderHasher::CompressLanes(const uint64_t* nonces, size_t n,
                                  std::array<uint32_t, 8>* states) {
   assert(n <= Sha256::kMaxLanes);
   uint32_t* state_ptrs[Sha256::kMaxLanes] = {};
   const uint8_t* block_ptrs[Sha256::kMaxLanes] = {};
-  // Each lane patches ITS OWN hasher's lane-`i` tail image, so one hasher
-  // occupying several lanes (consecutive nonces of one miner) never
-  // clobbers itself: distinct lanes are distinct buffers.
-  const size_t tail_blocks = n > 0 ? lanes[0].hasher->tail_blocks_ : 0;
+  // Lane i patches its own tail image, so consecutive nonces in one call
+  // never clobber each other.
   for (size_t i = 0; i < n; ++i) {
-    HeaderHasher* hasher = lanes[i].hasher;
-    assert(hasher->tail_blocks_ == tail_blocks);
-    hasher->PatchNonce(hasher->tails_[i], lanes[i].nonce);
-    states[i] = hasher->midstate_;
+    PatchNonce(tails_[i], nonces[i]);
+    states[i] = midstate_;
     state_ptrs[i] = states[i].data();
   }
-  for (size_t b = 0; b < tail_blocks; ++b) {
+  for (size_t b = 0; b < tail_blocks_; ++b) {
     for (size_t i = 0; i < n; ++i) {
-      block_ptrs[i] = lanes[i].hasher->tails_[i] + b * Sha256::kBlockSize;
+      block_ptrs[i] = tails_[i] + b * Sha256::kBlockSize;
     }
     Sha256::CompressBatch(state_ptrs, block_ptrs, n);
   }
   for (size_t i = 0; i < n; ++i) {
-    StateToDigest(states[i].data(), lanes[i].hasher->seconds_[i]);
+    StateToDigest(states[i].data(), seconds_[i]);
     states[i] = Sha256::kInitialState;
-    block_ptrs[i] = lanes[i].hasher->seconds_[i];
+    block_ptrs[i] = seconds_[i];
   }
   Sha256::CompressBatch(state_ptrs, block_ptrs, n);
-}
-
-void HeaderHasher::HashLanesWithNonces(const Lane* lanes, size_t n,
-                                       Hash256* out) {
-  std::array<uint32_t, 8> states[Sha256::kMaxLanes];
-  CompressLanes(lanes, n, states);
-  std::array<uint8_t, Sha256::kDigestSize> digest;
-  for (size_t i = 0; i < n; ++i) {
-    StateToDigest(states[i].data(), digest.data());
-    out[i] = Hash256(digest);
-  }
 }
 
 }  // namespace ac3::crypto

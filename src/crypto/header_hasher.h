@@ -67,34 +67,15 @@ class HeaderHasher {
   void PrefixesWithNonces(const uint64_t* nonces, size_t n,
                           uint64_t* prefixes);
 
-  /// One lane of a cross-hasher batch: a nonce attempt against a specific
-  /// hasher's preimage. The same hasher may occupy several lanes (with
-  /// distinct nonces); each lane uses its own per-lane tail image.
-  struct Lane {
-    HeaderHasher* hasher = nullptr;
-    uint64_t nonce = 0;
-  };
-
-  /// HashWithNonce across DIFFERENT hashers in one message-parallel pass:
-  /// out[i] receives lanes[i].hasher's digest for lanes[i].nonce.
-  /// CompressBatch takes fully general per-lane chaining values, so each
-  /// lane runs from its own hasher's midstate — this is what lets a
-  /// multi-miner nonce search (chain::MineHeaderBatch) fill all 8 AVX2
-  /// lanes even when every miner searches a distinct header. Requires
-  /// `n <= Sha256::kMaxLanes` and every hasher to have the same padded
-  /// tail block count (always true for fixed-size block headers).
-  /// Per-lane digests are bit-identical to HashWithNonce on every
-  /// dispatch level.
-  static void HashLanesWithNonces(const Lane* lanes, size_t n, Hash256* out);
-
  private:
   /// Writes `nonce` little-endian into `tail`'s nonce hole.
   void PatchNonce(uint8_t* tail, uint64_t nonce) const;
 
-  /// Runs lanes[i]'s tail and outer compressions, leaving the outer
-  /// chaining value (the digest's eight big-endian words) in states[i].
-  static void CompressLanes(const Lane* lanes, size_t n,
-                            std::array<uint32_t, 8>* states);
+  /// Runs the tail and outer compressions for nonces[i], one lane each,
+  /// leaving the outer chaining value (the digest's eight big-endian
+  /// words) in states[i].
+  void CompressLanes(const uint64_t* nonces, size_t n,
+                     std::array<uint32_t, 8>* states);
 
   /// Chaining value after the fixed 64-byte-aligned prefix.
   std::array<uint32_t, 8> midstate_;

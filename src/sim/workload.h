@@ -114,8 +114,8 @@ struct SwapRecord {
 
 struct WorkloadBatch {
   /// All transactions (funding grants + swap legs) with arrival <= the
-  /// NextBatch horizon, in arrival order. Per-chain sub-sequences are
-  /// arrival-monotone, so Mempool::SubmitBatch takes its fast path.
+  /// NextBatch horizon, in arrival order (so per-chain sub-sequences are
+  /// arrival-monotone too, and each Mempool::Submit appends).
   std::vector<GeneratedTx> txs;
   std::vector<SwapRecord> swaps;
 };

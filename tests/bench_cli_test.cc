@@ -151,5 +151,21 @@ TEST(BenchCliTest, ParseKnownForwardsForeignFlags) {
   EXPECT_STREQ(rest[1], "--benchmark_filter=Pow");
 }
 
+// The shared peak-RSS probe behind the memory ceilings of
+// bench_openworld and bench_multichain: on Linux it reports VmHWM, which
+// covers memory this process has touched and still holds.
+TEST(BenchCliTest, ReadPeakRssBytesCoversTouchedMemory) {
+#ifdef __linux__
+  constexpr size_t kTouched = 32u << 20;
+  std::vector<char> buffer(kTouched, 1);  // Writes, so every page is resident.
+  const size_t peak = benchutil::ReadPeakRssBytes();
+  EXPECT_GE(peak, kTouched);
+  EXPECT_GE(benchutil::ReadPeakRssBytes(), peak);  // A high-water mark.
+  EXPECT_EQ(buffer[kTouched / 2], 1);
+#else
+  EXPECT_EQ(benchutil::ReadPeakRssBytes(), 0u);
+#endif
+}
+
 }  // namespace
 }  // namespace ac3

@@ -739,7 +739,7 @@ TEST_F(SerialAssemblyTest, DoubleSpendPairsKeepFirstOfEach) {
 
 TEST_F(SerialAssemblyTest, RepeatedAssemblyIsByteIdentical) {
   // Same parent, candidates, miner, time and rng seed: the same block,
-  // through both overloads, mined or not.
+  // through both overloads.
   std::vector<Transaction> txs;
   for (size_t i = 0; i < 10; ++i) txs.push_back(Transfer(i, i + 3, 20, i));
   txs.push_back(txs[4]);  // A duplicate id is skipped the same way twice.
@@ -749,10 +749,8 @@ TEST_F(SerialAssemblyTest, RepeatedAssemblyIsByteIdentical) {
   const crypto::PublicKey& miner = keys_[0].public_key();
 
   Rng r1(777), r2(777);
-  auto a = chain().AssembleBlock(chain().head()->hash, span, miner, 100, &r1,
-                                 /*mine=*/false);
-  auto b = chain().AssembleBlock(chain().head()->hash, span, miner, 100, &r2,
-                                 /*mine=*/false);
+  auto a = chain().AssembleBlock(chain().head()->hash, span, miner, 100, &r1);
+  auto b = chain().AssembleBlock(chain().head()->hash, span, miner, 100, &r2);
   ASSERT_TRUE(a.ok() && b.ok());
   ExpectBlocksIdentical(*a, *b);
   EXPECT_EQ(a->txs.size(), 11u);

@@ -179,6 +179,45 @@ TEST(MineHeaderTest, InterleavedVisitsSameNoncesAsScalar) {
   }
 }
 
+// Block producers mine header after header from one shared Rng. The wide
+// search must consume exactly the draws the scalar oracle does, so a whole
+// sequence of headers — at mixed difficulties — lands on the same nonces
+// and eval counts on every dispatch level, not only a single header from
+// a fresh Rng.
+TEST(MineHeaderTest, SharedRngSequenceMatchesScalarOracle) {
+  DispatchGuard guard;
+  for (crypto::Sha256::Dispatch level : AvailableDispatches()) {
+    ASSERT_TRUE(crypto::Sha256::SetDispatch(level));
+    for (size_t count : {1u, 3u, 8u, 16u}) {
+      Rng header_rng(count * 7);
+      std::vector<chain::BlockHeader> scalar_headers;
+      for (size_t i = 0; i < count; ++i) {
+        chain::BlockHeader header = RandomHeader(&header_rng);
+        header.difficulty_bits = static_cast<uint32_t>((i * 5) % 10);
+        scalar_headers.push_back(header);
+      }
+      std::vector<chain::BlockHeader> fast_headers = scalar_headers;
+      Rng scalar_rng(count * 100);
+      Rng fast_rng(count * 100);
+      for (size_t i = 0; i < count; ++i) {
+        const uint64_t scalar_evals =
+            chain::MineHeaderScalar(&scalar_headers[i], &scalar_rng);
+        const uint64_t fast_evals =
+            chain::MineHeader(&fast_headers[i], &fast_rng);
+        EXPECT_EQ(fast_headers[i].nonce, scalar_headers[i].nonce)
+            << "level " << crypto::Sha256::DispatchName(level) << " count "
+            << count << " header " << i;
+        EXPECT_EQ(fast_evals, scalar_evals)
+            << "level " << crypto::Sha256::DispatchName(level) << " count "
+            << count << " header " << i;
+        EXPECT_TRUE(chain::CheckProofOfWork(fast_headers[i]));
+      }
+      // Both streams end in the same state.
+      EXPECT_EQ(fast_rng.NextU64(), scalar_rng.NextU64());
+    }
+  }
+}
+
 // Golden re-pin of the deterministic PoW witness, mirroring the bench's
 // --smoke pow parameters (bench_engine_hotpaths RunPow: 4 headers at 12
 // bits from Rng seed 99; the committed full-run envelope pins the
@@ -210,103 +249,23 @@ TEST(MineHeaderTest, GoldenEvalCountMatchesBenchWitness) {
   }
 }
 
-// The multi-miner batch search must be observationally identical to
-// calling MineHeader(headers[i], rng) in index order: one rng draw per
-// header, ascending visit order per miner, so the same winning nonces
-// and the same per-header eval counts — on every dispatch level, at
-// every batch width (1 exercises the degenerate lane split, 16 > 8
-// lanes exercises chunking, intermediate widths exercise uneven
-// per-miner lane shares).
-TEST(MineHeaderTest, BatchVisitsSameNoncesAsSequentialMineHeader) {
-  DispatchGuard guard;
-  for (crypto::Sha256::Dispatch level : AvailableDispatches()) {
-    ASSERT_TRUE(crypto::Sha256::SetDispatch(level));
-    for (size_t width : {1u, 2u, 3u, 5u, 8u, 16u}) {
-      for (uint32_t bits : {0u, 4u, 9u}) {
-        Rng seq_rng(width * 100 + bits);
-        Rng batch_rng(width * 100 + bits);
-        Rng header_rng(width * 7 + bits);
-        std::vector<chain::BlockHeader> seq_headers;
-        for (size_t i = 0; i < width; ++i) {
-          chain::BlockHeader header = RandomHeader(&header_rng);
-          header.difficulty_bits = bits;
-          seq_headers.push_back(header);
-        }
-        std::vector<chain::BlockHeader> batch_headers = seq_headers;
-
-        std::vector<uint64_t> seq_evals;
-        for (chain::BlockHeader& header : seq_headers) {
-          seq_evals.push_back(chain::MineHeader(&header, &seq_rng));
-        }
-        std::vector<chain::BlockHeader*> pointers;
-        for (chain::BlockHeader& header : batch_headers) {
-          pointers.push_back(&header);
-        }
-        const std::vector<uint64_t> batch_evals = chain::MineHeaderBatch(
-            std::span<chain::BlockHeader* const>(pointers), &batch_rng);
-        ASSERT_EQ(batch_evals.size(), width);
-        for (size_t i = 0; i < width; ++i) {
-          EXPECT_EQ(batch_headers[i].nonce, seq_headers[i].nonce)
-              << "level " << crypto::Sha256::DispatchName(level) << " width "
-              << width << " bits " << bits << " header " << i;
-          EXPECT_EQ(batch_evals[i], seq_evals[i])
-              << "level " << crypto::Sha256::DispatchName(level) << " width "
-              << width << " bits " << bits << " header " << i;
-          EXPECT_TRUE(chain::CheckProofOfWork(batch_headers[i]));
-        }
-      }
-    }
-  }
-}
-
-// The 15254-eval smoke witness (4 headers, 12 bits, Rng seed 99 — see
-// GoldenEvalCountMatchesBenchWitness) reproduced through one batched
-// multi-miner search instead of four sequential calls.
-TEST(MineHeaderTest, GoldenEvalCountMatchesBenchWitnessViaBatch) {
-  constexpr uint64_t kGoldenEvals = 15254;
-  DispatchGuard guard;
-  for (crypto::Sha256::Dispatch level : AvailableDispatches()) {
-    ASSERT_TRUE(crypto::Sha256::SetDispatch(level));
-    Rng rng(99);
-    std::vector<chain::BlockHeader> headers(4);
-    for (uint64_t i = 0; i < 4; ++i) {
-      headers[i].chain_id = 1;
-      headers[i].height = i + 1;
-      headers[i].time = static_cast<TimePoint>(i * 100);
-      headers[i].difficulty_bits = 12;
-    }
-    std::vector<chain::BlockHeader*> pointers;
-    for (chain::BlockHeader& header : headers) pointers.push_back(&header);
-    const std::vector<uint64_t> evals = chain::MineHeaderBatch(
-        std::span<chain::BlockHeader* const>(pointers), &rng);
-    uint64_t total = 0;
-    for (const uint64_t e : evals) total += e;
-    EXPECT_EQ(total, kGoldenEvals)
-        << "level " << crypto::Sha256::DispatchName(level);
-  }
-}
-
 // The committed full-run envelope (BENCH_engine_hotpaths.json
-// results.pow.evaluations) pins 836367 evals for 16 headers at 16 bits
-// from Rng seed 99; the batched search must land on the same witness.
-// One dispatch level suffices (the sweep above covers cross-level
-// identity); the active level is whatever the environment pinned.
-TEST(MineHeaderTest, GoldenFullRunEvalCountMatchesEnvelopeViaBatch) {
+// results.pow.evaluations) pins 836367 evals for 16 headers at 16 bits,
+// mined in order from Rng seed 99. One dispatch level suffices
+// (GoldenEvalCountMatchesBenchWitness covers cross-level identity); the
+// active level is whatever the environment pinned.
+TEST(MineHeaderTest, GoldenFullRunEvalCountMatchesEnvelope) {
   constexpr uint64_t kGoldenEvals = 836367;
   Rng rng(99);
-  std::vector<chain::BlockHeader> headers(16);
-  for (uint64_t i = 0; i < 16; ++i) {
-    headers[i].chain_id = 1;
-    headers[i].height = i + 1;
-    headers[i].time = static_cast<TimePoint>(i * 100);
-    headers[i].difficulty_bits = 16;
-  }
-  std::vector<chain::BlockHeader*> pointers;
-  for (chain::BlockHeader& header : headers) pointers.push_back(&header);
-  const std::vector<uint64_t> evals = chain::MineHeaderBatch(
-      std::span<chain::BlockHeader* const>(pointers), &rng);
   uint64_t total = 0;
-  for (const uint64_t e : evals) total += e;
+  for (uint64_t i = 0; i < 16; ++i) {
+    chain::BlockHeader header;
+    header.chain_id = 1;
+    header.height = i + 1;
+    header.time = static_cast<TimePoint>(i * 100);
+    header.difficulty_bits = 16;
+    total += chain::MineHeader(&header, &rng);
+  }
   EXPECT_EQ(total, kGoldenEvals);
 }
 

@@ -125,84 +125,88 @@ TEST_F(MempoolTest, CapacityIsEnforcedByBlockAssemblyNotThePool) {
   }
 }
 
-// ---------------------------------------------- batched ingestion
+// ---------------------------------------------- per-transaction ingestion
+//
+// Every producer hands the pool one transaction at a time (a tick's worth
+// of arrivals is a run of Submit calls at the same time), so the ordering
+// and duplicate rules are pinned on Submit sequences.
 
-TEST_F(MempoolTest, SubmitBatchMatchesSerialSubmit) {
-  std::vector<Transaction> batch;
-  for (uint64_t i = 1; i <= 20; ++i) batch.push_back(MakeTransfer(i));
-
-  Mempool serial;
-  for (const Transaction& tx : batch) {
-    ASSERT_TRUE(serial.Submit(tx, /*arrival=*/40).ok());
+TEST_F(MempoolTest, SameArrivalSubmitsKeepSubmissionOrder) {
+  std::vector<Transaction> txs;
+  for (uint64_t i = 1; i <= 20; ++i) txs.push_back(MakeTransfer(i));
+  // Submit in an order unrelated to the nonces (and so to the ids).
+  std::vector<size_t> order;
+  for (size_t i = 0; i < txs.size(); ++i) order.push_back((i * 7) % 20);
+  for (const size_t i : order) {
+    ASSERT_TRUE(pool_.Submit(txs[i], /*arrival=*/40).ok());
   }
-  Mempool batched;
-  auto result =
-      batched.SubmitBatch(std::span<const Transaction>(batch), /*arrival=*/40);
-  EXPECT_EQ(result.accepted, batch.size());
-  ASSERT_EQ(result.statuses.size(), batch.size());
-  for (const Status& status : result.statuses) {
-    EXPECT_TRUE(status.ok()) << status.ToString();
-  }
-  EXPECT_EQ(batched.size(), serial.size());
-  auto serial_candidates = serial.CandidatesAt(100, none_);
-  auto batched_candidates = batched.CandidatesAt(100, none_);
-  ASSERT_EQ(batched_candidates.size(), serial_candidates.size());
-  for (size_t i = 0; i < serial_candidates.size(); ++i) {
-    EXPECT_EQ(batched_candidates[i].Id(), serial_candidates[i].Id());
+  EXPECT_EQ(pool_.size(), txs.size());
+  EXPECT_TRUE(pool_.CandidatesAt(39, none_).empty());
+  auto candidates = pool_.CandidatesAt(40, none_);
+  ASSERT_EQ(candidates.size(), txs.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    EXPECT_EQ(candidates[k].Id(), txs[order[k]].Id()) << "position " << k;
   }
 }
 
-TEST_F(MempoolTest, SubmitBatchRejectsDuplicateInsideBatch) {
+TEST_F(MempoolTest, DuplicateSubmitKeepsOriginalArrival) {
   Transaction t1 = MakeTransfer(1);
   Transaction t2 = MakeTransfer(2);
-  std::vector<Transaction> batch{t1, t2, t1};
-  auto result = pool_.SubmitBatch(std::span<const Transaction>(batch), 10);
-  EXPECT_EQ(result.accepted, 2u);
-  ASSERT_EQ(result.statuses.size(), 3u);
-  EXPECT_TRUE(result.statuses[0].ok());
-  EXPECT_TRUE(result.statuses[1].ok());
-  EXPECT_FALSE(result.statuses[2].ok());
+  ASSERT_TRUE(pool_.Submit(t1, /*arrival=*/0).ok());
+  // A re-gossiped copy arriving later neither replaces nor moves t1.
+  EXPECT_FALSE(pool_.Submit(t1, /*arrival=*/10).ok());
+  ASSERT_TRUE(pool_.Submit(t2, /*arrival=*/10).ok());
   EXPECT_EQ(pool_.size(), 2u);
+  auto early = pool_.CandidatesAt(5, none_);
+  ASSERT_EQ(early.size(), 1u);
+  EXPECT_EQ(early[0].Id(), t1.Id());
+  auto all = pool_.CandidatesAt(100, none_);
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0].Id(), t1.Id());
+  EXPECT_EQ(all[1].Id(), t2.Id());
 }
 
-TEST_F(MempoolTest, SubmitBatchRejectsCrossBatchDuplicate) {
-  Transaction t1 = MakeTransfer(1);
-  ASSERT_TRUE(pool_.Submit(t1, 0).ok());
-  Transaction t2 = MakeTransfer(2);
-  std::vector<Transaction> batch{t1, t2};
-  auto result = pool_.SubmitBatch(std::span<const Transaction>(batch), 10);
-  EXPECT_EQ(result.accepted, 1u);
-  EXPECT_FALSE(result.statuses[0].ok());
-  EXPECT_TRUE(result.statuses[1].ok());
-  EXPECT_EQ(pool_.size(), 2u);
-  // The duplicate kept its original (earlier) arrival.
-  auto candidates = pool_.CandidatesAt(100, none_);
-  ASSERT_EQ(candidates.size(), 2u);
-  EXPECT_EQ(candidates[0].Id(), t1.Id());
-}
-
-TEST_F(MempoolTest, SubmitBatchKeepsArrivalOrderWhenBatchArrivesEarlier) {
-  // A batch whose arrival predates the pool tail takes the non-monotone
-  // path; visibility ordering must still be arrival-sorted.
+TEST_F(MempoolTest, EarlierArrivalsSubmittedLateSortAhead) {
+  // Two submissions whose arrival predates the pool tail take the
+  // non-append insert; they land ahead of the tail and keep their own
+  // submission order.
   Transaction late = MakeTransfer(1);
   ASSERT_TRUE(pool_.Submit(late, /*arrival=*/100).ok());
-  std::vector<Transaction> batch{MakeTransfer(2), MakeTransfer(3)};
-  auto result = pool_.SubmitBatch(std::span<const Transaction>(batch),
-                                  /*arrival=*/50);
-  EXPECT_EQ(result.accepted, 2u);
+  Transaction e1 = MakeTransfer(2);
+  Transaction e2 = MakeTransfer(3);
+  ASSERT_TRUE(pool_.Submit(e1, /*arrival=*/50).ok());
+  ASSERT_TRUE(pool_.Submit(e2, /*arrival=*/50).ok());
   auto candidates = pool_.CandidatesAt(200, none_);
   ASSERT_EQ(candidates.size(), 3u);
-  EXPECT_EQ(candidates[0].Id(), batch[0].Id());
-  EXPECT_EQ(candidates[1].Id(), batch[1].Id());
+  EXPECT_EQ(candidates[0].Id(), e1.Id());
+  EXPECT_EQ(candidates[1].Id(), e2.Id());
   EXPECT_EQ(candidates[2].Id(), late.Id());
-  EXPECT_TRUE(pool_.CandidatesAt(60, none_).size() == 2u);
+  EXPECT_EQ(pool_.CandidatesAt(60, none_).size(), 2u);
+}
+
+TEST_F(MempoolTest, PrunedTransactionCanBeSubmittedAgain) {
+  // Prune unindexes the id with the entry, so a transaction dropped by a
+  // canonical cleanup (and later orphaned by a reorg) can re-enter.
+  Transaction t1 = MakeTransfer(1);
+  Transaction t2 = MakeTransfer(2);
+  ASSERT_TRUE(pool_.Submit(t1, 0).ok());
+  ASSERT_TRUE(pool_.Submit(t2, 0).ok());
+  pool_.Prune({t1.Id()});
+  ASSERT_FALSE(pool_.Contains(t1.Id()));
+  ASSERT_TRUE(pool_.Submit(t1, /*arrival=*/30).ok());
+  EXPECT_TRUE(pool_.Contains(t1.Id()));
+  EXPECT_FALSE(pool_.Submit(t1, /*arrival=*/40).ok());
+  auto candidates = pool_.CandidatesAt(100, none_);
+  ASSERT_EQ(candidates.size(), 2u);
+  EXPECT_EQ(candidates[0].Id(), t2.Id());
+  EXPECT_EQ(candidates[1].Id(), t1.Id());
+  EXPECT_EQ(pool_.CandidatesAt(20, none_).size(), 1u);
 }
 
 TEST_F(MempoolTest, CandidatePointersMatchValueCandidates) {
   std::vector<Transaction> batch;
   for (uint64_t i = 1; i <= 8; ++i) batch.push_back(MakeTransfer(i));
-  ASSERT_EQ(pool_.SubmitBatch(std::span<const Transaction>(batch), 5).accepted,
-            batch.size());
+  for (const Transaction& tx : batch) ASSERT_TRUE(pool_.Submit(tx, 5).ok());
   std::set<crypto::Hash256> included{batch[2].Id(), batch[6].Id()};
   auto values = pool_.CandidatesAt(100, included);
   auto pointers = pool_.CandidatePointersAt(

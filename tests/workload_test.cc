@@ -14,6 +14,7 @@
 
 #include "src/chain/blockchain.h"
 #include "src/chain/mempool.h"
+#include "src/core/environment.h"
 
 namespace ac3::sim {
 namespace {
@@ -188,8 +189,8 @@ TEST(WorkloadTest, BurstyArrivalsStayInsideOnWindowsWithSaneDutyCycle) {
 
 // End-to-end: traffic generated against real chains executes fully — every
 // emitted transaction (grants and legs) is eventually included on the
-// canonical branch of its chain, through the batched ingestion + widened
-// assembly + batched-PoW production path the open-world bench drives.
+// canonical branch of its chain, through per-transaction mempool
+// submission, block assembly and mining.
 TEST(WorkloadTest, GeneratedTrafficFullyIncludesOnRealChains) {
   WorkloadConfig config;
   config.chains = 2;
@@ -213,15 +214,9 @@ TEST(WorkloadTest, GeneratedTrafficFullyIncludesOnRealChains) {
 
   WorkloadBatch batch = gen.NextBatch(3'000);
   ASSERT_GT(batch.swaps.size(), 200u);
-  std::vector<std::vector<chain::Transaction>> per_chain(config.chains);
   for (const GeneratedTx& gtx : batch.txs) {
-    per_chain[gtx.chain].push_back(gtx.tx);
-  }
-  for (size_t c = 0; c < config.chains; ++c) {
-    auto result = pools[c].SubmitBatch(
-        std::span<const chain::Transaction>(per_chain[c]), 3'000);
-    EXPECT_EQ(result.accepted, per_chain[c].size())
-        << "chain " << c << ": generator emitted a duplicate id";
+    EXPECT_TRUE(pools[gtx.chain].Submit(gtx.tx, 3'000).ok())
+        << "chain " << gtx.chain << ": generator emitted a duplicate id";
   }
 
   Rng mine_rng(5);
@@ -259,6 +254,69 @@ TEST(WorkloadTest, GeneratedTrafficFullyIncludesOnRealChains) {
     EXPECT_NE(swap.chain_a, swap.chain_b);
     EXPECT_TRUE(chains[swap.chain_a]->FindTx(swap.leg_a_id).has_value());
     EXPECT_TRUE(chains[swap.chain_b]->FindTx(swap.leg_b_id).has_value());
+  }
+}
+
+// The same traffic on the simulator's own production path, as the
+// open-world bench drives it: each transaction is scheduled at its own
+// arrival and sent through Environment::SubmitTransaction, blocks come
+// only from each chain's MiningNetwork (4 miners), and both mempools
+// drain with every swap's two legs on the canonical branches.
+TEST(WorkloadTest, GeneratedTrafficCompletesThroughEnvironment) {
+  WorkloadConfig config;
+  config.chains = 2;
+  config.accounts = 5'000;
+  config.arrivals_per_sec = 150.0;
+  WorkloadGenerator gen(config, 77);
+
+  core::Environment env(77);
+  chain::MiningConfig mining;
+  mining.miner_count = 4;
+  std::vector<chain::ChainId> ids;
+  for (size_t c = 0; c < config.chains; ++c) {
+    chain::ChainParams params = chain::TestChainParams();
+    params.name = "env-" + std::to_string(c);
+    params.difficulty_bits = 4;  // Keep PoW trivial; mining is not the subject.
+    params.max_block_txs = 200;
+    ids.push_back(env.AddChain(params, gen.GenesisAllocations(c), mining));
+    gen.BindChain(c, ids[c], env.blockchain(ids[c])->genesis_tx());
+  }
+  const NodeId users = env.AddUserNode("users");
+
+  constexpr Duration kHorizon = 2'000;
+  const WorkloadBatch batch = gen.NextBatch(kHorizon);
+  ASSERT_GT(batch.swaps.size(), 100u);
+  for (const GeneratedTx& gtx : batch.txs) {
+    const GeneratedTx* g = &gtx;
+    const chain::ChainId id = ids[g->chain];
+    env.sim()->At(g->arrival, [&env, users, id, g] {
+      env.SubmitTransaction(users, id, g->tx);
+    });
+  }
+
+  env.StartMining();
+  TimePoint now = 0;
+  size_t pending = 0;
+  for (;;) {
+    now += 200;
+    env.sim()->RunUntil(now);
+    pending = 0;
+    for (const chain::ChainId id : ids) pending += env.mempool(id)->size();
+    if (now > kHorizon && pending == 0) break;
+    ASSERT_LT(now, kHorizon + Seconds(60)) << pending << " txs never drained";
+  }
+  env.StopMining();
+
+  for (const GeneratedTx& gtx : batch.txs) {
+    const chain::Blockchain* chain = env.blockchain(ids[gtx.chain]);
+    EXPECT_TRUE(chain->TxOnBranch(*chain->head(), gtx.tx.Id()))
+        << "generated tx not canonical on chain " << gtx.chain;
+  }
+  for (const SwapRecord& swap : batch.swaps) {
+    const chain::Blockchain* a = env.blockchain(ids[swap.chain_a]);
+    const chain::Blockchain* b = env.blockchain(ids[swap.chain_b]);
+    EXPECT_TRUE(a->TxOnBranch(*a->head(), swap.leg_a_id));
+    EXPECT_TRUE(b->TxOnBranch(*b->head(), swap.leg_b_id));
   }
 }
 
