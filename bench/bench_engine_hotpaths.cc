@@ -2,9 +2,9 @@
 // itself, independent of any swap protocol. This is the trajectory anchor
 // for perf PRs — it measures the per-block hot paths (block
 // assembly/validation with a growing ledger, visible-head selection under
-// Poisson mining, mempool drain, batch fork validation, and PoW nonce
-// search) and reports blocks/sec and nonce-evals/sec across chain lengths,
-// so a regression to O(chain-length) per-block cost is visible as a
+// Poisson mining, mempool drain, block execution, and PoW nonce search)
+// and reports blocks/sec and nonce-evals/sec across chain lengths, so a
+// regression to O(chain-length) per-block cost is visible as a
 // falling segment rate.
 //
 // Determinism contract: everything under "results" (head hashes, heights,
@@ -16,8 +16,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <set>
-#include <span>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -25,7 +23,6 @@
 #include "src/chain/mempool.h"
 #include "src/chain/pow.h"
 #include "src/chain/wallet.h"
-#include "src/common/worker_pool.h"
 #include "src/core/environment.h"
 #include "src/crypto/sha256.h"
 #include "src/runner/bench_output.h"
@@ -232,202 +229,7 @@ MempoolDrainRun RunMempoolDrain(int users) {
   return run;
 }
 
-// ---- section 2b': prune-overload delta ------------------------------------
-//
-// The canonical-head subscription prunes included ids one block at a
-// time. The std::set overload forces every call site to build an ordered
-// set first; the span overload takes the flat id list as-is. Both runs
-// prune the same pool in the same block-sized chunks and must reach the
-// same post-state; the wall-clock delta is the cost of the set builds
-// plus the ordered lookups inside Prune.
-
-struct PruneDeltaRun {
-  size_t pool_txs = 0;
-  int chunk = 0;
-  int repeats = 0;
-  bool identical = false;  ///< Both overloads emptied the pool every repeat.
-  double set_wall_ms = 0;
-  double span_wall_ms = 0;
-  double speedup = 0;  ///< set / span.
-};
-
-PruneDeltaRun RunPruneDelta(size_t pool_txs, int chunk, int repeats) {
-  // The mempool indexes by id only, so synthetic distinct transactions
-  // suffice — no chain state or signatures are involved in what is
-  // measured here.
-  const crypto::KeyPair payee = crypto::KeyPair::FromSeed(88'888);
-  std::vector<chain::Transaction> batch;
-  batch.reserve(pool_txs);
-  std::vector<crypto::Hash256> ids;
-  ids.reserve(pool_txs);
-  for (size_t i = 0; i < pool_txs; ++i) {
-    chain::Transaction tx;
-    tx.chain_id = 1;
-    tx.nonce = i + 1;
-    tx.outputs.push_back(chain::TxOutput{i + 1, payee.public_key()});
-    ids.push_back(tx.Id());
-    batch.push_back(std::move(tx));
-  }
-
-  PruneDeltaRun run;
-  run.pool_txs = pool_txs;
-  run.chunk = chunk;
-  run.repeats = repeats;
-  run.identical = true;
-  for (int r = 0; r < repeats; ++r) {
-    chain::Mempool set_pool;
-    chain::Mempool span_pool;
-    for (const chain::Transaction& tx : batch) {
-      (void)set_pool.Submit(tx, 0);
-      (void)span_pool.Submit(tx, 0);
-    }
-    for (size_t at = 0; at < ids.size(); at += static_cast<size_t>(chunk)) {
-      const size_t end = std::min(at + static_cast<size_t>(chunk), ids.size());
-      const Clock::time_point t_set = Clock::now();
-      set_pool.Prune(
-          std::set<crypto::Hash256>(ids.begin() + static_cast<ptrdiff_t>(at),
-                                    ids.begin() + static_cast<ptrdiff_t>(end)));
-      run.set_wall_ms += ElapsedMs(t_set);
-      const Clock::time_point t_span = Clock::now();
-      span_pool.Prune(std::span<const crypto::Hash256>(ids.data() + at,
-                                                       end - at));
-      run.span_wall_ms += ElapsedMs(t_span);
-    }
-    run.identical = run.identical && set_pool.size() == 0 &&
-                    span_pool.size() == 0;
-  }
-  run.speedup =
-      run.span_wall_ms > 0 ? run.set_wall_ms / run.span_wall_ms : 0;
-  return run;
-}
-
-// ---- section 2c: parallel fork validation ---------------------------------
-//
-// F forks of depth D (funded transfers in every block) are mined off one
-// chain, then replayed into fresh chains through Blockchain::SubmitBlocks
-// in level order — every round presents F independent sibling blocks, the
-// workload the parallel validator spreads across threads. The replay runs
-// once with 1 thread and once with the full thread count; both must accept
-// every block and land on the same head (the batch API's serial-equivalence
-// contract), so the parallel numbers are self-checking.
-
-struct ForkValidationRun {
-  int forks = 0;
-  int depth = 0;
-  int threads = 0;
-  size_t blocks = 0;        ///< Batch size (deterministic).
-  size_t accepted = 0;      ///< Blocks accepted by the replay (deterministic).
-  std::string head_hash;    ///< Deterministic, identical serial/parallel.
-  bool thread_invariant = false;
-  double serial_wall_ms = 0;
-  double serial_blocks_per_sec = 0;
-  double parallel_wall_ms = 0;
-  double parallel_blocks_per_sec = 0;
-};
-
-ForkValidationRun RunForkValidation(int forks, int depth, int txs_per_block,
-                                    int threads) {
-  constexpr int kUsersPerFork = 4;
-  chain::ChainParams params = chain::TestChainParams();
-  params.difficulty_bits = 4;
-  params.max_block_txs = 64;
-
-  std::vector<crypto::KeyPair> keys;
-  std::vector<chain::TxOutput> allocations;
-  for (int i = 0; i < forks * kUsersPerFork; ++i) {
-    keys.push_back(crypto::KeyPair::FromSeed(9000 + static_cast<uint64_t>(i)));
-    allocations.push_back(chain::TxOutput{1'000'000, keys.back().public_key()});
-  }
-  const crypto::KeyPair miner = crypto::KeyPair::FromSeed(8999);
-
-  // Mine the fork flood off a source chain: every fork branches at genesis
-  // and carries its own users' transfers, so sibling levels are mutually
-  // independent.
-  chain::Blockchain source(params, allocations);
-  Rng rng(777);
-  uint64_t nonce = 1;
-  TimePoint now = 0;
-  std::vector<std::vector<chain::Block>> fork_blocks(
-      static_cast<size_t>(forks));
-  for (int f = 0; f < forks; ++f) {
-    std::vector<chain::Wallet> wallets;
-    for (int u = 0; u < kUsersPerFork; ++u) {
-      wallets.emplace_back(keys[static_cast<size_t>(f * kUsersPerFork + u)],
-                           source.id());
-    }
-    crypto::Hash256 tip = source.genesis()->hash;
-    for (int d = 0; d < depth; ++d) {
-      now += 100;
-      const chain::LedgerState& tip_state = source.Get(tip)->state;
-      std::vector<chain::Transaction> txs;
-      for (int j = 0; j < txs_per_block; ++j) {
-        const size_t from = static_cast<size_t>((d + j) % kUsersPerFork);
-        auto tx = wallets[from].BuildTransfer(
-            tip_state,
-            keys[static_cast<size_t>(f * kUsersPerFork) +
-                 (from + 1) % kUsersPerFork]
-                .public_key(),
-            /*amount=*/10, /*fee=*/1, nonce++);
-        if (tx.ok()) txs.push_back(*tx);
-      }
-      auto block =
-          source.AssembleBlock(tip, txs, miner.public_key(), now, &rng);
-      if (!block.ok() || !source.SubmitBlock(*block, now).ok()) {
-        std::fprintf(stderr, "fork validation: mining failed (fork %d)\n", f);
-        break;
-      }
-      tip = block->header.Hash();
-      fork_blocks[static_cast<size_t>(f)].push_back(*block);
-    }
-  }
-
-  // Level order: round d presents one independent block per fork.
-  std::vector<chain::Block> batch;
-  for (int d = 0; d < depth; ++d) {
-    for (int f = 0; f < forks; ++f) {
-      const auto& fork = fork_blocks[static_cast<size_t>(f)];
-      if (d < static_cast<int>(fork.size())) {
-        batch.push_back(fork[static_cast<size_t>(d)]);
-      }
-    }
-  }
-
-  ForkValidationRun run;
-  run.forks = forks;
-  run.depth = depth;
-  run.threads = threads;
-  run.blocks = batch.size();
-
-  auto replay = [&](int replay_threads, double* wall_ms,
-                    size_t* accepted) -> std::string {
-    chain::Blockchain replica(params, allocations);
-    const Clock::time_point t0 = Clock::now();
-    auto result = replica.SubmitBlocks(batch, now, replay_threads);
-    *wall_ms = ElapsedMs(t0);
-    *accepted = result.accepted;
-    return replica.head()->hash.ToHex();
-  };
-  size_t accepted_parallel = 0;
-  const std::string serial_head =
-      replay(1, &run.serial_wall_ms, &run.accepted);
-  const std::string parallel_head =
-      replay(threads, &run.parallel_wall_ms, &accepted_parallel);
-  run.head_hash = serial_head;
-  run.thread_invariant =
-      serial_head == parallel_head && accepted_parallel == run.accepted &&
-      run.accepted == run.blocks;
-  run.serial_blocks_per_sec =
-      run.serial_wall_ms > 0 ? static_cast<double>(run.blocks) /
-                                   (run.serial_wall_ms / 1000.0)
-                             : 0;
-  run.parallel_blocks_per_sec =
-      run.parallel_wall_ms > 0 ? static_cast<double>(run.blocks) /
-                                     (run.parallel_wall_ms / 1000.0)
-                               : 0;
-  return run;
-}
-
-// ---- section 2d: block execution -----------------------------------------
+// ---- section 2c: block execution -----------------------------------------
 //
 // One wide block of pairwise-independent funded transfers is applied
 // repeatedly to the same base state through ApplyBlockBody, the one
@@ -554,12 +356,6 @@ int main(int argc, char** argv) {
   const int txs_per_block = 4;
   const uint64_t sim_height = context.smoke ? 150 : 1200;
   const int drain_users = context.smoke ? 500 : 3000;
-  const size_t prune_pool_txs = context.smoke ? 1'000 : 10'000;
-  const int prune_chunk = 32;
-  const int prune_repeats = context.smoke ? 3 : 10;
-  const int fork_count = context.smoke ? 4 : 8;
-  const int fork_depth = context.smoke ? 12 : 60;
-  const int fork_threads = common::WorkerPool::ResolveThreads(context.threads);
   const uint32_t pow_bits = context.smoke ? 12 : 16;
   const uint64_t pow_headers = context.smoke ? 4 : 16;
   const int exec_body_txs = context.smoke ? 48 : 192;
@@ -603,33 +399,6 @@ int main(int argc, char** argv) {
               "%.1f ms — %.0f txs/s\n",
               drain.submitted, static_cast<unsigned long long>(drain.height),
               drain.pool_left, drain.wall_ms, drain.txs_per_sec);
-
-  PruneDeltaRun prune = RunPruneDelta(prune_pool_txs, prune_chunk,
-                                      prune_repeats);
-  std::printf("prune delta: %zu txs in %d-id chunks x%d — set %.1f ms, "
-              "span %.1f ms (%.2fx), post-states %s\n",
-              prune.pool_txs, prune.chunk, prune.repeats, prune.set_wall_ms,
-              prune.span_wall_ms, prune.speedup,
-              prune.identical ? "identical" : "DIVERGED");
-  if (!prune.identical) {
-    std::fprintf(stderr, "prune delta: overloads left different pools\n");
-    return 1;
-  }
-
-  ForkValidationRun fork = RunForkValidation(fork_count, fork_depth,
-                                             txs_per_block, fork_threads);
-  std::printf("fork validation: %zu blocks (%d forks x %d deep) — serial "
-              "%.1f ms (%.0f blocks/s), %d threads %.1f ms (%.0f blocks/s), "
-              "heads %s\n",
-              fork.blocks, fork.forks, fork.depth, fork.serial_wall_ms,
-              fork.serial_blocks_per_sec, fork.threads, fork.parallel_wall_ms,
-              fork.parallel_blocks_per_sec,
-              fork.thread_invariant ? "identical" : "DIVERGED");
-  if (!fork.thread_invariant) {
-    std::fprintf(stderr,
-                 "fork validation: parallel replay diverged from serial\n");
-    return 1;
-  }
 
   BlockExecRun exec = RunBlockExecution(exec_body_txs, exec_repeats);
   std::printf("\nblock execution: %d-tx block x%d — %.1f ms (%.0f txs/s)\n",
@@ -702,20 +471,7 @@ int main(int argc, char** argv) {
   drain_json.Set("height", drain.height);
   drain_json.Set("pool_left", drain.pool_left);
   drain_json.Set("head_hash", drain.head_hash);
-  // Prune-overload equivalence is deterministic; the timing delta is
-  // machine-dependent and lives under wall.prune_delta.
-  drain_json.Set("prune_pool_txs", prune.pool_txs);
-  drain_json.Set("prune_chunk", prune.chunk);
-  drain_json.Set("prune_identical", prune.identical);
   results.Set("mempool_drain", std::move(drain_json));
-  runner::Json fork_json = runner::Json::Object();
-  fork_json.Set("forks", fork.forks);
-  fork_json.Set("depth", fork.depth);
-  fork_json.Set("blocks", fork.blocks);
-  fork_json.Set("accepted", fork.accepted);
-  fork_json.Set("head_hash", fork.head_hash);
-  fork_json.Set("thread_invariant", fork.thread_invariant);
-  results.Set("fork_validation", std::move(fork_json));
   runner::Json exec_json = runner::Json::Object();
   exec_json.Set("body_txs", exec.body_txs);
   exec_json.Set("repeats", exec.repeats);
@@ -743,19 +499,6 @@ int main(int argc, char** argv) {
   drain_wall.Set("wall_ms", drain.wall_ms);
   drain_wall.Set("txs_per_sec", drain.txs_per_sec);
   wall.Set("mempool_drain", std::move(drain_wall));
-  runner::Json prune_wall = runner::Json::Object();
-  prune_wall.Set("repeats", prune.repeats);
-  prune_wall.Set("set_wall_ms", prune.set_wall_ms);
-  prune_wall.Set("span_wall_ms", prune.span_wall_ms);
-  prune_wall.Set("speedup", prune.speedup);
-  wall.Set("prune_delta", std::move(prune_wall));
-  runner::Json fork_wall = runner::Json::Object();
-  fork_wall.Set("threads", fork.threads);
-  fork_wall.Set("serial_wall_ms", fork.serial_wall_ms);
-  fork_wall.Set("serial_blocks_per_sec", fork.serial_blocks_per_sec);
-  fork_wall.Set("parallel_wall_ms", fork.parallel_wall_ms);
-  fork_wall.Set("parallel_blocks_per_sec", fork.parallel_blocks_per_sec);
-  wall.Set("fork_validation", std::move(fork_wall));
   runner::Json exec_wall = runner::Json::Object();
   exec_wall.Set("serial_wall_ms", exec.serial_wall_ms);
   exec_wall.Set("serial_txs_per_sec", exec.serial_txs_per_sec);

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
 #include "src/chain/pow.h"
 #include "src/common/logging.h"
-#include "src/common/worker_pool.h"
 #include "src/crypto/merkle.h"
 
 namespace ac3::chain {
@@ -179,15 +177,7 @@ Status Blockchain::SubmitBlock(const Block& block, TimePoint arrival_time) {
 
   ValidatedBody body;
   AC3_RETURN_IF_ERROR(ValidateAgainstParent(block, *parent, &body));
-  CommitValidated(block, hash, parent, std::move(body), arrival_time);
-  return Status::OK();
-}
 
-void Blockchain::CommitValidated(const Block& block,
-                                 const crypto::Hash256& hash,
-                                 const BlockEntry* parent,
-                                 ValidatedBody body,
-                                 TimePoint arrival_time) {
   BlockEntry entry;
   entry.block = block;
   entry.hash = hash;
@@ -228,124 +218,7 @@ void Blockchain::CommitValidated(const Block& block,
       head_listeners_[i].second(*old_head);
     }
   }
-}
-
-Blockchain::BatchSubmitResult Blockchain::SubmitBlocks(
-    const std::vector<Block>& blocks, TimePoint arrival_time, int threads) {
-  const size_t n = blocks.size();
-  BatchSubmitResult result;
-  result.statuses.assign(n, Status::OK());
-  if (n == 0) return result;
-
-  std::vector<crypto::Hash256> hashes(n);
-  std::vector<crypto::Hash256> parents(n);
-  std::unordered_map<crypto::Hash256, std::vector<size_t>> by_hash;
-  for (size_t i = 0; i < n; ++i) {
-    hashes[i] = blocks[i].header.Hash();
-    parents[i] = blocks[i].header.prev_hash;
-    by_hash[hashes[i]].push_back(i);  // Ascending by construction.
-  }
-  std::vector<char> settled(n, 0);
-
-  // True when an earlier, not-yet-settled batch block carries `i`'s
-  // parent hash — `i` must wait for that block's outcome, exactly as a
-  // serial loop would have it already resolved by `i`'s turn.
-  const auto waiting_on_earlier = [&](size_t i) {
-    auto it = by_hash.find(parents[i]);
-    if (it == by_hash.end()) return false;
-    for (size_t j : it->second) {
-      if (j >= i) break;
-      if (!settled[j]) return true;
-    }
-    return false;
-  };
-
-  struct ValidationSlot {
-    Status status;
-    ValidatedBody body;
-  };
-  std::vector<size_t> to_validate;
-  std::vector<ValidationSlot> validated;
-  std::unordered_set<crypto::Hash256> claimed;  // Hashes validating per round.
-  const std::function<void(size_t)> validate_one = [&](size_t r) {
-    const size_t i = to_validate[r];
-    validated[r].status = ValidateAgainstParent(blocks[i], *Get(parents[i]),
-                                                &validated[r].body);
-  };
-  // The shared worker-pool primitive: lazily spawned on the first round
-  // with >= 2 validations, reused (two barrier hops) across later rounds,
-  // and sized to the widest round seen so far. Its ResolveThreads policy
-  // also owns the `threads <= 0` fallback, hardware_concurrency()==0
-  // included.
-  common::WorkerPool pool(threads);
-
-  // Each round takes the longest prefix of unsettled blocks that can be
-  // resolved without waiting (parent stored, duplicate, or orphan),
-  // validates the parallel part, and commits in input order — so stored
-  // entries, statuses, arrival sequence, head movements, and listener
-  // callbacks are *exactly* what the serial loop produces. Every round
-  // settles at least the frontier block (which can never be waiting: all
-  // earlier blocks are settled), and each block is scanned O(1) times
-  // amortized, so classification is O(n) even for a 10k-block linear
-  // chain. Level-major batch order (siblings adjacent, parents before
-  // children) maximizes per-round width.
-  size_t frontier = 0;
-  while (frontier < n) {
-    if (settled[frontier]) {
-      ++frontier;
-      continue;
-    }
-    to_validate.clear();
-    claimed.clear();
-    for (size_t i = frontier; i < n; ++i) {
-      if (settled[i]) continue;
-      if (index_.Contains(hashes[i])) {
-        // Duplicate of a stored block: the serial short-circuit — no PoW
-        // or re-execution work.
-        result.statuses[i] = Status::AlreadyExists("block already known");
-        settled[i] = 1;
-        continue;
-      }
-      if (claimed.count(hashes[i]) > 0) {
-        // In-batch duplicate of a block validating this round: defer one
-        // round instead of validating twice. If the first copy commits,
-        // next round's stored-duplicate check answers AlreadyExists; if
-        // it fails, this copy re-validates to the same error — both
-        // exactly the serial statuses.
-        continue;
-      }
-      if (index_.Contains(parents[i])) {
-        to_validate.push_back(i);
-        claimed.insert(hashes[i]);
-        continue;
-      }
-      if (waiting_on_earlier(i)) break;  // Resolves after this round.
-      result.statuses[i] = Status::NotFound("parent block unknown (orphan)");
-      settled[i] = 1;
-    }
-
-    // Parallel phase: validation is read-only against committed state.
-    validated.assign(to_validate.size(), ValidationSlot{});
-    pool.ParallelFor(to_validate.size(), validate_one);
-
-    // Serial phase: commit in input order (to_validate is ascending).
-    for (size_t r = 0; r < to_validate.size(); ++r) {
-      const size_t i = to_validate[r];
-      if (index_.Contains(hashes[i])) {
-        // Defensive: to_validate hashes are unique per round (`claimed`),
-        // so this only fires if that invariant is ever relaxed.
-        result.statuses[i] = Status::AlreadyExists("block already known");
-      } else if (validated[r].status.ok()) {
-        CommitValidated(blocks[i], hashes[i], Get(parents[i]),
-                        std::move(validated[r].body), arrival_time);
-        ++result.accepted;
-      } else {
-        result.statuses[i] = std::move(validated[r].status);
-      }
-      settled[i] = 1;
-    }
-  }
-  return result;
+  return Status::OK();
 }
 
 Blockchain::SubscriptionId Blockchain::SubscribeHead(HeadListener listener) {

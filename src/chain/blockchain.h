@@ -42,41 +42,9 @@ class Blockchain {
 
   /// Fully validates `block` (PoW, linkage, roots, transaction execution,
   /// receipt equality) and stores it. The canonical head moves only when
-  /// the new branch has strictly more work.
+  /// the new branch has strictly more work. This is the one ingestion
+  /// path: miners and networks submit each block as it arrives.
   Status SubmitBlock(const Block& block, TimePoint arrival_time);
-
-  /// Per-block outcome of one SubmitBlocks batch.
-  struct BatchSubmitResult {
-    size_t accepted = 0;  ///< Blocks validated and stored.
-    /// One status per input block, in input order — exactly what a serial
-    /// SubmitBlock loop over the same sequence would have returned.
-    std::vector<Status> statuses;
-  };
-
-  /// Batch ingestion with parallel validation across independent forks.
-  ///
-  /// Semantically identical to calling SubmitBlock(block, arrival_time)
-  /// on each element in order — same statuses, same stored entries, same
-  /// head movements and listener callbacks, same arrival sequence — but
-  /// validation (PoW, roots, transaction re-execution against the parent
-  /// snapshot) runs on `threads` workers for every group of blocks whose
-  /// parents are already stored. Blocks extending fork siblings are
-  /// mutually independent, so a wide fork flood (or a node catching up on
-  /// several branches at once) validates with per-branch parallelism;
-  /// commits stay serial and in input order, which is what keeps the
-  /// golden determinism fingerprints byte-identical whatever `threads`
-  /// is. Order batches level-major (parents before children, independent
-  /// siblings adjacent) for maximum per-round width; a purely linear
-  /// chain degrades gracefully to serial cost. The fan-out runs on the
-  /// shared common::WorkerPool primitive, whose ResolveThreads policy
-  /// maps `threads <= 0` to hardware_concurrency() clamped to >= 1.
-  ///
-  /// Validation reads only committed state (the persistent snapshots'
-  /// atomic refcounts make cross-thread sharing of ledger structure safe);
-  /// a child in the same batch is validated in a later round, after its
-  /// parent's commit.
-  BatchSubmitResult SubmitBlocks(const std::vector<Block>& blocks,
-                                 TimePoint arrival_time, int threads = 0);
 
   const BlockEntry* genesis() const { return genesis_; }
   /// Canonical tip.
@@ -199,14 +167,6 @@ class Blockchain {
   /// (ApplyBlockBody) and declared-receipt equality.
   Status ValidateAgainstParent(const Block& block, const BlockEntry& parent,
                                ValidatedBody* body) const;
-
-  /// Stores a block that already passed ValidateAgainstParent: builds the
-  /// BlockEntry, indexes it, and applies the longest-chain rule (head
-  /// listeners fire from here). The serial commit half of both SubmitBlock
-  /// and SubmitBlocks.
-  void CommitValidated(const Block& block, const crypto::Hash256& hash,
-                       const BlockEntry* parent, ValidatedBody body,
-                       TimePoint arrival_time);
 
   /// True when `entry` lies on the branch ending at `tip`.
   bool OnBranch(const BlockEntry& tip, const BlockEntry* entry) const;

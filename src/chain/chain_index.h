@@ -96,9 +96,8 @@ struct TxLocation {
   uint32_t index = 0;
 };
 
-/// The per-chain entry store + query indexes. Mutation (Store) is
-/// single-threaded; const queries may run concurrently between mutations
-/// — the Blockchain's parallel-validation discipline.
+/// The per-chain entry store + query indexes. Like the Blockchain that
+/// owns it, one instance is used from one thread.
 class ChainIndex {
  public:
   /// Construction knobs, forwarded to the backing ShardedIndexes.
@@ -198,13 +197,6 @@ class ChainIndex {
     }
     if (best_entry == nullptr) return std::nullopt;
     return TxLocation{best_entry, best_index};
-  }
-
-  /// Slab bytes reserved across all three backing indexes (the number the
-  /// many-chain bench's memory ceiling bounds). Excludes value-owned heap.
-  size_t bytes_reserved() const {
-    return entries_.bytes_reserved() + tx_occurrences_.bytes_reserved() +
-           contract_calls_.bytes_reserved();
   }
 
  private:

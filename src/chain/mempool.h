@@ -15,7 +15,6 @@
 #define AC3_CHAIN_MEMPOOL_H_
 
 #include <functional>
-#include <set>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -36,29 +35,17 @@ class Mempool {
   Status Submit(const Transaction& tx, TimePoint arrival);
 
   /// Transactions visible at `now` for which `already_included` returns
-  /// false, in arrival order.
-  std::vector<Transaction> CandidatesAt(TimePoint now,
-                                        const TxFilter& already_included) const;
-
-  /// Convenience overload for explicit id sets (tests, replay tools).
-  std::vector<Transaction> CandidatesAt(
-      TimePoint now, const std::set<crypto::Hash256>& already_included) const;
-
-  /// CandidatesAt without copying any Transaction: arrival-ordered
-  /// pointers into the pool, for the assembly hot path (a miner inspects
-  /// hundreds of candidates per block and copies none of the rejects).
-  /// Pointers are invalidated by the next Submit/Prune.
+  /// false (a null filter admits all), in arrival order, as pointers into
+  /// the pool: a miner inspects hundreds of candidates per block and
+  /// copies none of the rejects. Pointers are invalidated by the next
+  /// Submit/Prune.
   std::vector<const Transaction*> CandidatePointersAt(
       TimePoint now, const TxFilter& already_included) const;
 
-  /// Drops entries whose ids appear in `included` (canonical cleanup).
-  /// One pass over the pool; ids are unindexed as their entries drop.
-  void Prune(const std::set<crypto::Hash256>& included);
-
-  /// Prune for an arbitrary id list (unsorted, duplicates allowed): no
-  /// ordered-set build at the call site. Ids are unindexed first (O(1)
-  /// hash erases); the entry vector is compacted only when something was
-  /// actually dropped. Same post-state as the set overload.
+  /// Drops entries whose ids appear in `included` (canonical cleanup;
+  /// any id list, unsorted, duplicates allowed). Ids are unindexed first
+  /// (O(1) hash erases); the entry vector is compacted only when something
+  /// was actually dropped.
   void Prune(std::span<const crypto::Hash256> included);
 
   size_t size() const { return entries_.size(); }

@@ -17,6 +17,7 @@ MiningNetwork::MiningNetwork(sim::Simulation* sim, Blockchain* chain,
       config_(config),
       rng_(sim->rng()->Fork()) {
   assert(config_.miner_count > 0);
+  views_.resize(static_cast<size_t>(config_.miner_count));
   for (int i = 0; i < config_.miner_count; ++i) {
     miner_keys_.push_back(crypto::KeyPair::Generate(&rng_));
   }
@@ -56,36 +57,16 @@ Duration MiningNetwork::GossipDelay(const crypto::Hash256& block_hash,
       draw % (static_cast<uint64_t>(config_.max_propagation_delay) + 1));
 }
 
-const BlockEntry* MiningNetwork::VisibleHeadScan(int miner,
-                                                 TimePoint now) const {
-  const BlockEntry* best = chain_->genesis();
-  chain_->ForEachEntry([&](const crypto::Hash256& hash,
-                           const BlockEntry& entry) {
-    if (entry.arrival_time + GossipDelay(hash, miner) > now) return;
-    if (entry.total_work > best->total_work ||
-        (entry.total_work == best->total_work &&
-         entry.arrival_seq < best->arrival_seq)) {
-      best = &entry;
-    }
-  });
-  return best;
-}
-
 const BlockEntry* MiningNetwork::VisibleHead(int miner, TimePoint now) const {
-  if (miner < 0 || miner >= config_.miner_count) {
-    // Stay total over miner ids, like the scan (delays are defined for any
-    // id); only configured miners get incremental trackers.
-    return VisibleHeadScan(miner, now);
-  }
-  if (views_.empty()) views_.resize(static_cast<size_t>(config_.miner_count));
+  assert(miner >= 0 && miner < config_.miner_count);
   MinerView& view = views_[static_cast<size_t>(miner)];
-  if (now < view.last_now) return VisibleHeadScan(miner, now);
+  assert(now >= view.last_now);
   view.last_now = now;
   if (view.best == nullptr) view.best = chain_->genesis();
 
   // The fold is a max over (total_work, -arrival_seq); visibility is
   // monotone in `now`, so folding each block exactly once as it becomes
-  // visible reproduces the full scan's answer.
+  // visible reproduces a full scan's answer.
   auto consider = [&](const BlockEntry* entry) {
     if (entry->total_work > view.best->total_work ||
         (entry->total_work == view.best->total_work &&
@@ -121,9 +102,9 @@ void MiningNetwork::ProduceBlock() {
 
   // No duplicate filter here: AssembleBlock's selection loop already skips
   // on-branch transactions (without consuming block capacity), so filtering
-  // in CandidatesAt would just walk the tx index a second time per block.
-  // Pointer candidates: rejected entries are never copied out of the pool
-  // (the pool is not mutated between here and assembly).
+  // in CandidatePointersAt would just walk the tx index a second time per
+  // block. Pointer candidates: rejected entries are never copied out of the
+  // pool (the pool is not mutated between here and assembly).
   std::vector<const Transaction*> candidates =
       mempool_->CandidatePointersAt(now, Mempool::TxFilter());
   auto block = chain_->AssembleBlock(

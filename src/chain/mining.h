@@ -48,18 +48,18 @@ class MiningNetwork {
   bool running() const { return running_; }
 
   /// Head visible to `miner` at `now`: heaviest entry whose gossip has
-  /// reached the miner. Incremental: each miner keeps a cursor into the
-  /// chain's arrival feed plus a small pending-visibility heap, so a query
-  /// costs O(new blocks x log pending) instead of a full-store scan.
-  /// Queries with a `now` earlier than a previous query for the same miner
-  /// fall back to the exact full scan (visibility is monotone, so the
-  /// incremental best would over-approximate the past).
+  /// reached the miner (ties go to the earlier arrival). Incremental: each
+  /// miner keeps a cursor into the chain's arrival feed plus a small
+  /// pending-visibility heap, so a query costs O(new blocks x log pending)
+  /// instead of a full-store scan. Requires a configured miner id and a
+  /// `now` no earlier than that miner's previous query (visibility is
+  /// monotone, so the tracker never has to look back); ProduceBlock, the
+  /// one production caller, always queries at the simulation's Now().
   const BlockEntry* VisibleHead(int miner, TimePoint now) const;
 
-  /// Reference implementation: full scan over every stored entry. Exact
-  /// same answer as VisibleHead for any (miner, now); kept public as the
-  /// equivalence oracle for tests and for non-monotone replay queries.
-  const BlockEntry* VisibleHeadScan(int miner, TimePoint now) const;
+  /// Gossip delay of `block_hash` to `miner`: 0 for its producer, else a
+  /// deterministic uniform draw in [0, max_propagation_delay].
+  Duration GossipDelay(const crypto::Hash256& block_hash, int miner) const;
 
   /// Mines `length` blocks privately on top of `parent_hash` (including
   /// `txs` in the first block) without submitting them. Timestamps start at
@@ -96,7 +96,6 @@ class MiningNetwork {
 
   void ScheduleNext();
   void ProduceBlock();
-  Duration GossipDelay(const crypto::Hash256& block_hash, int miner) const;
 
   sim::Simulation* sim_;
   Blockchain* chain_;
@@ -106,7 +105,8 @@ class MiningNetwork {
   std::vector<crypto::KeyPair> miner_keys_;
   /// Which miner produced each block (producers see their block at once).
   std::unordered_map<crypto::Hash256, int> producer_;
-  /// Lazily grown per-miner trackers (logically const caches).
+  /// Per-miner trackers, one per configured miner (logically const
+  /// caches).
   mutable std::vector<MinerView> views_;
   sim::EventHandle pending_;
   bool running_ = false;

@@ -2,20 +2,6 @@
 
 namespace ac3::chain {
 
-const char* TxTypeName(TxType type) {
-  switch (type) {
-    case TxType::kCoinbase:
-      return "coinbase";
-    case TxType::kTransfer:
-      return "transfer";
-    case TxType::kDeploy:
-      return "deploy";
-    case TxType::kCall:
-      return "call";
-  }
-  return "?";
-}
-
 namespace {
 
 void EncodeCore(const Transaction& tx, ByteWriter* w) {

@@ -48,8 +48,6 @@ enum class TxType : uint8_t {
   kCall = 4,      ///< Smart-contract function invocation.
 };
 
-const char* TxTypeName(TxType type);
-
 /// A signed transaction. For kDeploy, `contract_kind` selects the contract
 /// class and `payload` carries the constructor arguments; `contract_value`
 /// is msg.value, locked in the contract. For kCall, `contract_id` targets a

@@ -42,10 +42,6 @@ Result<Bytes> FromHex(const std::string& hex) {
   return out;
 }
 
-void AppendBytes(Bytes* dst, const Bytes& suffix) {
-  dst->insert(dst->end(), suffix.begin(), suffix.end());
-}
-
 void ByteWriter::PutU8(uint8_t v) { buf_.push_back(v); }
 
 void ByteWriter::PutU16(uint16_t v) {

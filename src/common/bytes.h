@@ -28,9 +28,6 @@ std::string ToHex(const uint8_t* data, size_t len);
 /// Parses lower/upper-case hex. Fails on odd length or non-hex characters.
 Result<Bytes> FromHex(const std::string& hex);
 
-/// Appends `suffix` to `dst`.
-void AppendBytes(Bytes* dst, const Bytes& suffix);
-
 /// Builds canonical little-endian encodings. All multi-byte integers are
 /// fixed-width little-endian; variable-length fields carry a u32 length
 /// prefix. This is intentionally simple and unambiguous — one encoding per

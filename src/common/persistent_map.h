@@ -31,10 +31,11 @@
 // Allocation and threads: nodes carry an intrusive reference count and
 // live in NodePool slabs (src/common/arena.h) instead of shared_ptr
 // control blocks, so a clone costs a free-list pop rather than a malloc of
-// node + control block. The count is atomic because snapshots *share
-// structure across threads*: parallel fork validation
-// (Blockchain::SubmitBlocks) and the sweep's worker pool copy and mutate
-// sibling snapshots concurrently. Increments are relaxed (publication of
+// node + control block. The count is atomic so that snapshots may share
+// structure across threads (PersistentMapTest's concurrent-sibling case
+// copies and mutates sibling snapshots on four threads at once; the
+// sweep's worker pool builds each world inside one task, so no simulator
+// path shares nodes across threads). Increments are relaxed (publication of
 // the nodes themselves happens-before any handoff); decrements are
 // acq_rel. The uniqueness test is an acquire load: when it reads 1, the
 // only reference is this handle's, and the acquire pairs with the release

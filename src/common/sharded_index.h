@@ -1,5 +1,5 @@
-// ShardedIndex: an N-way hash-sharded map with slab-backed nodes and an
-// intrusive hot-entry list per shard.
+// ShardedIndex: an N-way hash-sharded map with slab-backed nodes and a
+// hot-entry pointer per shard.
 //
 // This is the storage behind the chain-global indexes (tx -> occurrences,
 // contract -> call entries, hash -> block entry; see
@@ -12,30 +12,27 @@
 //   * **sharding by key hash** — a world of hundreds of chains holds
 //     millions of index entries; N smaller shards keep bucket tables in
 //     reasonable allocation sizes, keep rehash pauses short, and give
-//     every per-shard structure (slab pool, hot list) locality.
+//     every per-shard structure (slab pool, hot entry) locality.
 //   * **deterministic iteration** — ForEach visits shards in index order
 //     and entries in per-shard insertion order, a pure function of the
 //     operation sequence (never of pointer values or rehash timing), so
 //     golden tests and committed bench fingerprints stay reproducible.
-//   * **a hot-entry fast path** — each shard fronts an intrusive
-//     LRU-style list (in the spirit of rippled's `TaggedCacheIntr`):
-//     inserts and non-const finds move the node to the list head, and
-//     every lookup checks the current head before walking its bucket —
-//     repeated queries for the same key (a protocol engine polling one
-//     contract's calls on every head move) skip the hash walk entirely.
+//   * **a hot-entry fast path** — each shard remembers the node its
+//     latest Emplace inserted or hit, and every lookup checks that node
+//     before walking its bucket, so a repeated lookup of that key skips
+//     the hash walk.
 //
-// Thread safety: mutation is single-threaded, const lookups are safe to
-// run concurrently *between* mutations (the const path is read-only —
-// only the non-const Find/Touch overloads move hot-list links). That is
-// exactly the Blockchain discipline: parallel validation reads, the
-// serial commit phase writes.
+// Thread safety: mutation is single-threaded; lookups never write, so
+// const lookups may run concurrently between mutations. Every owner (one
+// Blockchain per simulated world, each world on one thread) uses its
+// indexes from a single thread.
 //
 // Oracle mode: `Options{.oracle = true}` swaps the backing storage for a
-// single plain std::unordered_map (no shards, no slabs, no hot list)
+// single plain std::unordered_map (no shards, no slabs, no hot entry)
 // behind the same API. Equivalence tests and the many-chain bench drive
 // identical operation sequences through both modes and fail on any
-// divergence, the same discipline as `MineHeaderScalar` /
-// `VisibleHeadScan`.
+// divergence, the same discipline as `MineHeaderScalar` against
+// `MineHeader`.
 
 #ifndef AC3_COMMON_SHARDED_INDEX_H_
 #define AC3_COMMON_SHARDED_INDEX_H_
@@ -54,8 +51,8 @@
 namespace ac3 {
 
 /// N-way hash-sharded map with slab-backed, pointer-stable nodes, a
-/// deterministic iteration order, per-shard intrusive hot-entry lists,
-/// and a single-map oracle mode for equivalence testing. Insert-only by
+/// deterministic iteration order, a per-shard hot-entry pointer, and a
+/// single-map oracle mode for equivalence testing. Insert-only by
 /// design (values stay mutable): the chain indexes it backs are
 /// append-only fork-tree stores.
 template <typename K, typename V, typename Hasher = std::hash<K>>
@@ -114,19 +111,10 @@ class ShardedIndex {
   /// True when this instance runs the single-map oracle backend.
   bool is_oracle() const { return oracle_; }
 
-  /// Read-only lookup; nullptr when absent. Safe to call concurrently
-  /// with other const lookups (checks the shard's hot head, then walks
-  /// the bucket — never mutates).
+  /// Read-only lookup; nullptr when absent (checks the shard's hot entry,
+  /// then walks the bucket — never mutates).
   const V* Find(const K& key) const {
     const Node* node = FindNode(key);
-    return node != nullptr ? &node->kv.second : nullptr;
-  }
-
-  /// Mutable lookup; additionally moves the entry to the front of its
-  /// shard's hot list. Serial contexts only.
-  V* Find(const K& key) {
-    Node* node = const_cast<Node*>(FindNode(key));
-    if (node != nullptr) Touch(node);
     return node != nullptr ? &node->kv.second : nullptr;
   }
 
@@ -140,7 +128,7 @@ class ShardedIndex {
     Shard& shard = ShardFor(hash);
     Node* existing = FindInShard(shard, hash, key);
     if (existing != nullptr) {
-      Touch(existing);
+      shard.hot = existing;
       return {&existing->kv.second, false};
     }
     Node* node = new (shard.pool.Allocate()) Node(key, std::move(value), hash);
@@ -149,16 +137,9 @@ class ShardedIndex {
     return {&node->kv.second, true};
   }
 
-  /// The value under `key`, default-constructing (and hot-listing) it on
-  /// first use — the accumulator idiom (`index.GetOrCreate(id).push_back`).
+  /// The value under `key`, default-constructing it on first use — the
+  /// accumulator idiom (`index.GetOrCreate(id).push_back`).
   V& GetOrCreate(const K& key) { return *Emplace(key, V{}).first; }
-
-  /// Moves the entry for `key` (if any) to the front of its shard's hot
-  /// list without returning it. Serial contexts only.
-  void Touch(const K& key) {
-    Node* node = const_cast<Node*>(FindNode(key));
-    if (node != nullptr) Touch(node);
-  }
 
   /// Visits every (key, value) pair: shards in index order, entries in
   /// per-shard insertion order. The order is a pure function of the
@@ -170,21 +151,6 @@ class ShardedIndex {
     for (const auto& shard : shards_) {
       for (const Node* node = shard->order_head; node != nullptr;
            node = node->order_next) {
-        fn(node->kv.first, node->kv.second);
-      }
-    }
-  }
-
-  /// Visits up to `per_shard_limit` most-recently-touched entries per
-  /// shard, hottest first (insertion counts as a touch). Empty in oracle
-  /// mode, which keeps no hot list.
-  template <typename Fn>
-  void ForEachHot(size_t per_shard_limit, Fn&& fn) const {
-    for (const auto& shard : shards_) {
-      size_t visited = 0;
-      for (const Node* node = shard->hot_head;
-           node != nullptr && visited < per_shard_limit;
-           node = node->hot_next, ++visited) {
         fn(node->kv.first, node->kv.second);
       }
     }
@@ -205,8 +171,6 @@ class ShardedIndex {
         : hash(h), kv(key, std::move(value)) {}
     Node* bucket_next = nullptr;
     Node* order_next = nullptr;
-    Node* hot_prev = nullptr;
-    Node* hot_next = nullptr;
     size_t hash = 0;
     std::pair<const K, V> kv;
   };
@@ -218,8 +182,7 @@ class ShardedIndex {
     std::vector<Node*> buckets;  // Power-of-two sized; empty until first use.
     Node* order_head = nullptr;
     Node* order_tail = nullptr;
-    Node* hot_head = nullptr;
-    Node* hot_tail = nullptr;
+    Node* hot = nullptr;  // Latest Emplace'd node (unread in oracle mode).
     std::unordered_map<K, Node*, Hasher> oracle_map;  // Oracle backend only.
     size_t count = 0;
   };
@@ -259,10 +222,9 @@ class ShardedIndex {
       auto it = shard.oracle_map.find(key);
       return it == shard.oracle_map.end() ? nullptr : it->second;
     }
-    // Hot-head fast path: a repeated lookup of the shard's most recently
-    // touched key skips the bucket walk (plain pointer reads — safe under
-    // concurrent const lookups).
-    const Node* hot = shard.hot_head;
+    // Hot-entry fast path: a lookup of the shard's latest Emplace'd key
+    // skips the bucket walk.
+    const Node* hot = shard.hot;
     if (hot != nullptr && hot->hash == hash && hot->kv.first == key) {
       return const_cast<Node*>(hot);
     }
@@ -296,7 +258,7 @@ class ShardedIndex {
       node->bucket_next = shard.buckets[index];
       shard.buckets[index] = node;
     }
-    PushHot(shard, node);
+    shard.hot = node;
   }
 
   /// Doubles the bucket table (load factor 1) and relinks every node.
@@ -311,25 +273,6 @@ class ShardedIndex {
       walk->bucket_next = shard.buckets[index];
       shard.buckets[index] = walk;
     }
-  }
-
-  void PushHot(Shard& shard, Node* node) {
-    node->hot_prev = nullptr;
-    node->hot_next = shard.hot_head;
-    if (shard.hot_head != nullptr) shard.hot_head->hot_prev = node;
-    shard.hot_head = node;
-    if (shard.hot_tail == nullptr) shard.hot_tail = node;
-  }
-
-  void Touch(Node* node) {
-    if (oracle_) return;
-    Shard& shard = ShardFor(node->hash);
-    if (shard.hot_head == node) return;
-    // Unlink, then push to the front.
-    if (node->hot_prev != nullptr) node->hot_prev->hot_next = node->hot_next;
-    if (node->hot_next != nullptr) node->hot_next->hot_prev = node->hot_prev;
-    if (shard.hot_tail == node) shard.hot_tail = node->hot_prev;
-    PushHot(shard, node);
   }
 
   bool oracle_;

@@ -11,15 +11,14 @@
 //     size lookup, no per-block heap header;
 //   * slabs are sized to amortize the carve (~64 KiB by default), and the
 //     pool reports exactly how many bytes it reserved — the hook the
-//     many-chain bench and the slab memory-ceiling tests assert against;
+//     slab memory-ceiling tests assert against;
 //   * unlike the process-lifetime `NodePool` (src/common/arena.h), a
 //     SlabPool is *owned by its container*: destroying the index frees the
 //     slabs, so hundreds of per-chain indexes can come and go without
 //     stranding memory, and per-index accounting stays exact.
 //
 // Thread safety: none — a SlabPool belongs to one shard of one index, and
-// index mutation is serial (Blockchain commits are single-threaded; the
-// parallel validation phase only reads). This is what lets the hot path be
+// each index is used from one thread. This is what lets the hot path be
 // two pointer moves.
 //
 // Sanitizer builds bypass the slabs and use plain `::operator new` /

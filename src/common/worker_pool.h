@@ -1,15 +1,12 @@
-// WorkerPool: the one shared fan-out primitive.
+// WorkerPool: the fan-out primitive behind the sweep runner.
 //
-// Both parallel substrates in the system — the chain's batch fork
-// validation (Blockchain::SubmitBlocks) and the sweep grid executor
-// (runner::SweepRunner / runner::ParallelFor) — have the same shape: a
-// round of `n` independent tasks, workers claiming indices from a shared
-// counter, with the caller blocked until the round fully drains. They used
-// to carry two separate implementations (a barrier pool in blockchain.cc,
-// a spawn-and-join loop in sweep_runner.cc); this class is the single
-// primitive both now run on.
+// Its one consumer is runner::SweepRunner, which runs a grid of
+// independent simulated worlds (RunGrid / RunGridTimed / Map) as a round
+// of `n` independent tasks: workers claim indices from a shared counter
+// and the caller blocks until the round fully drains. Each world is built
+// and torn down inside its own task, so tasks share no simulation state.
 //
-// Design points, inherited from the proven ValidationPool:
+// Design points:
 //
 //   * **Persistent + lazily spawned.** No thread is created until the
 //     first round that actually has parallel work (>= 2 indices and >= 2
@@ -30,8 +27,8 @@
 //     matching what an inline serial loop would have done.
 //   * **One thread-count policy.** `threads <= 0` resolves to
 //     hardware_concurrency() clamped to >= 1 in exactly one place
-//     (ResolveThreads), fixing the historical `hardware_concurrency() ==
-//     0` hole that left SubmitBlocks with zero workers.
+//     (ResolveThreads), including the `hardware_concurrency() == 0` case
+//     the standard allows.
 
 #ifndef AC3_COMMON_WORKER_POOL_H_
 #define AC3_COMMON_WORKER_POOL_H_

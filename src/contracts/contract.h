@@ -93,7 +93,6 @@ class Contract {
   const crypto::PublicKey& deployer() const { return deployer_; }
   chain::Amount locked_value() const { return locked_value_; }
   chain::ChainId chain_id() const { return chain_id_; }
-  uint64_t deploy_height() const { return deploy_height_; }
 
   /// Called once by the factory right after construction.
   void BindDeployment(const DeployContext& ctx) {
@@ -101,7 +100,6 @@ class Contract {
     deployer_ = ctx.sender;
     locked_value_ = ctx.value;
     chain_id_ = ctx.chain_id;
-    deploy_height_ = ctx.block_height;
   }
 
   /// Copies the deployment binding onto a successor snapshot.
@@ -110,7 +108,6 @@ class Contract {
     deployer_ = prev.deployer_;
     locked_value_ = prev.locked_value_;
     chain_id_ = prev.chain_id_;
-    deploy_height_ = prev.deploy_height_;
   }
 
   /// Successor with the locked value released (after a payout).
@@ -121,7 +118,6 @@ class Contract {
   crypto::PublicKey deployer_;
   chain::Amount locked_value_ = 0;
   chain::ChainId chain_id_ = 0;
-  uint64_t deploy_height_ = 0;
 };
 
 using ContractPtr = std::shared_ptr<const Contract>;

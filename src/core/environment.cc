@@ -1,7 +1,6 @@
 #include "src/core/environment.h"
 
 #include <cassert>
-#include <span>
 #include <vector>
 
 #include "src/protocols/messages.h"
@@ -31,17 +30,13 @@ void PruneIncludedOnHeadMove(const chain::Blockchain* chain,
     fork = fork->parent;
     other = other->parent;
   }
-  // Ids on one branch are unique, so the flat list needs no dedup; the
-  // span-form Prune skips the ordered-set build the old std::set path
-  // paid on every canonical head move.
+  // Ids on one branch are unique, so the flat list needs no dedup.
   std::vector<crypto::Hash256> included;
   for (const chain::BlockEntry* walk = chain->head(); walk != fork;
        walk = walk->parent) {
     for (const auto& [tx_id, index] : walk->tx_index) included.push_back(tx_id);
   }
-  if (!included.empty()) {
-    pool->Prune(std::span<const crypto::Hash256>(included));
-  }
+  pool->Prune(included);
   // Disconnected (reorged-out) blocks: anything not re-included on the
   // winning branch goes back into the pool at its original arrival time.
   for (const chain::BlockEntry* walk = &old_head; walk != fork;

@@ -55,9 +55,6 @@ class Hash256 {
   /// First 8 hex chars, for logs.
   std::string ShortHex() const;
 
-  /// Copies into a Bytes buffer.
-  Bytes ToBytes() const;
-
   auto operator<=>(const Hash256& other) const = default;
 
  private:

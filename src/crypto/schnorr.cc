@@ -34,10 +34,6 @@ Result<PublicKey> PublicKey::Decode(ByteReader* reader) {
   return PublicKey(y);
 }
 
-Hash256 PublicKey::ToAddress() const { return Hash256::Of(Encode()); }
-
-std::string PublicKey::ToHexShort() const { return ToAddress().ShortHex(); }
-
 Bytes Signature::Encode() const {
   ByteWriter w;
   w.PutU64(e);
@@ -95,11 +91,6 @@ bool Verify(const PublicKey& pk, const Bytes& message, const Signature& sig) {
   uint64_t ye = PowMod(pk.y(), (grp.q - sig.e) % grp.q, grp.p);
   uint64_t r_prime = MulMod(gs, ye, grp.p);
   return ChallengeE(r_prime, pk, message) == sig.e;
-}
-
-bool VerifyString(const PublicKey& pk, const std::string& message,
-                  const Signature& sig) {
-  return Verify(pk, Bytes(message.begin(), message.end()), sig);
 }
 
 }  // namespace ac3::crypto

@@ -40,10 +40,6 @@ class PublicKey {
   Bytes Encode() const;
   static Result<PublicKey> Decode(ByteReader* reader);
 
-  /// Address = SHA-256 of the encoded key. Used in logs and asset ownership.
-  Hash256 ToAddress() const;
-  std::string ToHexShort() const;
-
   auto operator<=>(const PublicKey&) const = default;
 
  private:
@@ -89,10 +85,6 @@ class KeyPair {
 /// this is what miners run when validating transactions and what smart
 /// contracts run inside IsRedeemable/IsRefundable (Algorithm 2).
 bool Verify(const PublicKey& pk, const Bytes& message, const Signature& sig);
-
-/// String-message convenience overload.
-bool VerifyString(const PublicKey& pk, const std::string& message,
-                  const Signature& sig);
 
 }  // namespace ac3::crypto
 

@@ -241,10 +241,6 @@ class SwapEngineBase {
   void SetCoordinatorCrashPlan(const CoordinatorCrashPlan& plan) {
     coordinator_crash_plan_ = plan;
   }
-  /// The armed schedule (engines may consult recover_after).
-  const CoordinatorCrashPlan& coordinator_crash_plan() const {
-    return coordinator_crash_plan_;
-  }
   /// Fires the armed crash schedule when `phase` matches and it has not
   /// fired yet: crashes `node` immediately, stamps a report phase, and
   /// schedules the optional recovery. Returns true when the crash fired on

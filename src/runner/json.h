@@ -51,10 +51,6 @@ class Json {
   }
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_number() const {
-    return type_ == Type::kInt || type_ == Type::kDouble;
-  }
 
   // Typed accessors; the caller is expected to have checked type().
   bool AsBool() const { return bool_; }

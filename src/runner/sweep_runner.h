@@ -33,23 +33,6 @@
 /// aggregation, and the worker-pool runner.
 namespace ac3::runner {
 
-/// Executes fn(0..n-1) on a one-shot common::WorkerPool round (workers
-/// claim indices from a shared counter; `threads <= 0` resolves through
-/// WorkerPool::ResolveThreads; `threads == 1` or `n == 1` runs inline).
-/// `fn` must be safe to call concurrently for distinct indices. If an
-/// invocation throws, the first exception is rethrown here on the caller
-/// instead of terminating a worker thread.
-void ParallelFor(int n, int threads, const std::function<void(int)>& fn);
-
-/// Deterministic parallel map: out[i] = fn(i), independent of `threads`.
-template <typename T>
-std::vector<T> ParallelMap(int n, int threads,
-                           const std::function<T(int)>& fn) {
-  std::vector<T> out(static_cast<size_t>(n));
-  ParallelFor(n, threads, [&](int i) { out[static_cast<size_t>(i)] = fn(i); });
-  return out;
-}
-
 // ---- the sweep grid -------------------------------------------------------
 
 /// The swap protocols under evaluation.
@@ -364,8 +347,9 @@ class SweepRunner {
   }
 
  private:
-  /// Runs one ParallelFor round on the persistent pool (out-of-line so
-  /// the template above stays header-only without touching pool state).
+  /// Runs one WorkerPool::ParallelFor round on the persistent pool
+  /// (out-of-line so the template above stays header-only without
+  /// touching pool state).
   void PoolFor(int n, const std::function<void(size_t)>& fn) const;
 
   /// The shared fan-out primitive; unique_ptr so const methods can run

@@ -41,9 +41,6 @@ class EventQueue {
   /// Enqueues `fn` to run at absolute time `at`.
   EventHandle Push(TimePoint at, std::function<void()> fn);
 
-  /// True when no events remain (cancelled events may still occupy slots
-  /// until popped).
-  bool Empty() const { return heap_.empty(); }
   size_t Size() const { return heap_.size(); }
 
   /// Time of the earliest live (non-cancelled) event; kTimeInfinity when

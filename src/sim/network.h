@@ -109,7 +109,6 @@ class Network {
 
   /// Arms (or clears, with the default) the per-message fault model.
   void set_message_faults(const MessageFaults& faults) { faults_ = faults; }
-  const MessageFaults& message_faults() const { return faults_; }
 
   /// Typed-path traffic counters of `id` (zero until it sends/receives).
   const NodeTraffic& traffic(NodeId id) const { return traffic_.at(id); }

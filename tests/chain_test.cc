@@ -7,6 +7,7 @@
 #include <array>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -434,8 +435,8 @@ TEST(MempoolTest, VisibilityByArrivalTime) {
   tx.nonce = 1;
   tx.SignWith(Alice());
   ASSERT_TRUE(pool.Submit(tx, 100).ok());
-  EXPECT_TRUE(pool.CandidatesAt(50, std::set<crypto::Hash256>{}).empty());
-  EXPECT_EQ(pool.CandidatesAt(100, std::set<crypto::Hash256>{}).size(), 1u);
+  EXPECT_TRUE(pool.CandidatePointersAt(50, Mempool::TxFilter()).empty());
+  EXPECT_EQ(pool.CandidatePointersAt(100, Mempool::TxFilter()).size(), 1u);
 }
 
 TEST(MempoolTest, RejectsDuplicates) {
@@ -455,8 +456,10 @@ TEST(MempoolTest, ExcludesIncluded) {
   tx.nonce = 1;
   tx.SignWith(Alice());
   ASSERT_TRUE(pool.Submit(tx, 0).ok());
-  std::set<crypto::Hash256> included = {tx.Id()};
-  EXPECT_TRUE(pool.CandidatesAt(10, included).empty());
+  const std::vector<crypto::Hash256> included = {tx.Id()};
+  EXPECT_TRUE(pool.CandidatePointersAt(10, [&](const crypto::Hash256& id) {
+                    return id == tx.Id();
+                  }).empty());
   pool.Prune(included);
   EXPECT_EQ(pool.size(), 0u);
 }
@@ -591,11 +594,80 @@ TEST(BlockAssemblyTest, WideBlockStartsNoThreads) {
   EXPECT_EQ(ProcessThreadCount(), before);
 }
 
-TEST(SubmitBlocksTest, DeepLinearCatchupThreadInvariant) {
-  // Grow a 10-block linear chain of 8-transfer blocks, then replay it into
-  // fresh chains through SubmitBlocks at 1 and 4 threads: every round is
-  // one block wide, and the head, statuses and post-state must not depend
-  // on the thread count.
+// --------------------------------------------------------- block ingestion
+
+// Blocks reach a node one at a time, in whatever order the network
+// delivers them, and each goes through SubmitBlock on arrival. This pins
+// the ingestion edge cases: a child before its parent, a resubmission, a
+// fork sibling, and a block whose body fails validation.
+TEST(BlockIngestionTest, OutOfOrderDuplicateForkAndInvalidBlocks) {
+  const auto allocations = Fund({Alice().public_key()}, 500);
+  const crypto::PublicKey miner = Bob().public_key();
+  Blockchain source(FastParams(), allocations);
+  Rng rng(31337);
+  TimePoint now = 0;
+  auto mine_on = [&](const crypto::Hash256& parent,
+                     const std::vector<Transaction>& txs) {
+    now += 100;
+    auto block = source.AssembleBlock(parent, txs, miner, now, &rng);
+    EXPECT_TRUE(block.ok()) << block.status().ToString();
+    EXPECT_TRUE(source.SubmitBlock(*block, now).ok());
+    return *block;
+  };
+  const crypto::Hash256 genesis = source.genesis()->hash;
+  const Block base = mine_on(genesis, kNoCandidates);
+  auto tx = Wallet(Alice(), 0).BuildTransfer(
+      source.Get(base.header.Hash())->state, Bob().public_key(), 50, 1, 1);
+  ASSERT_TRUE(tx.ok());
+  const Block child = mine_on(base.header.Hash(), {*tx});
+  const Block grandchild = mine_on(child.header.Hash(), kNoCandidates);
+  const Block sibling = mine_on(genesis, kNoCandidates);  // Forks `base`.
+
+  Blockchain replica(FastParams(), allocations);
+  int head_moves = 0;
+  replica.SubscribeHead([&](const BlockEntry&) { ++head_moves; });
+
+  // A child ahead of its parent is an orphan and is not stored...
+  EXPECT_EQ(replica.SubmitBlock(child, 1).code(), StatusCode::kNotFound);
+  EXPECT_EQ(replica.block_count(), 1u);
+  // ...and is accepted once the parent has arrived.
+  ASSERT_TRUE(replica.SubmitBlock(base, 2).ok());
+  ASSERT_TRUE(replica.SubmitBlock(child, 3).ok());
+  EXPECT_EQ(replica.head()->hash, child.header.Hash());
+
+  // A resubmitted block is recognised before any validation work.
+  EXPECT_EQ(replica.SubmitBlock(base, 4).code(), StatusCode::kAlreadyExists);
+
+  // A fork sibling is stored beside `base` without taking the head.
+  ASSERT_TRUE(replica.SubmitBlock(sibling, 5).ok());
+  EXPECT_NE(replica.Get(base.header.Hash()), nullptr);
+  EXPECT_NE(replica.Get(sibling.header.Hash()), nullptr);
+  EXPECT_FALSE(replica.IsCanonical(sibling.header.Hash()));
+  EXPECT_EQ(replica.block_count(), 4u);
+
+  // A block whose declared receipts disagree with re-execution leaves the
+  // head and the store untouched.
+  now += 100;
+  auto extra = source.AssembleBlock(child.header.Hash(), kNoCandidates, miner,
+                                    now, &rng);
+  ASSERT_TRUE(extra.ok());
+  Block bad_receipts = *extra;
+  bad_receipts.receipts[0].note = "tampered";
+  EXPECT_EQ(replica.SubmitBlock(bad_receipts, 6).code(),
+            StatusCode::kVerificationFailed);
+  EXPECT_EQ(replica.head()->hash, child.header.Hash());
+  EXPECT_EQ(replica.block_count(), 4u);
+  EXPECT_EQ(replica.Get(bad_receipts.header.Hash()), nullptr);
+
+  ASSERT_TRUE(replica.SubmitBlock(grandchild, 7).ok());
+  EXPECT_EQ(replica.head()->hash, source.head()->hash);
+  EXPECT_EQ(head_moves, 3);  // base, child, grandchild; never the sibling.
+}
+
+TEST(BlockIngestionTest, LinearReplayReproducesHeadAndState) {
+  // Grow a 10-block linear chain of 8-transfer blocks, then replay it
+  // block by block into a fresh chain, as a node catching up would: the
+  // head, the UTXO set and the liquid value must come out identical.
   const auto keys = Keys(16, 1000);
   const auto funding = Fund(PublicKeys(keys), 1000);
   TestChain tc(FastParams(), funding);
@@ -605,25 +677,123 @@ TEST(SubmitBlocksTest, DeepLinearCatchupThreadInvariant) {
                     .ok());
     ASSERT_EQ(tc.chain().head()->block.txs.size(), 9u);
   }
-  std::vector<Block> batch;
-  for (const BlockEntry* entry : tc.chain().arrival_order()) {
-    if (entry->height() > 0) batch.push_back(entry->block);
-  }
-  ASSERT_EQ(batch.size(), 10u);
 
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Blockchain replica(FastParams(), funding);
-    auto result = replica.SubmitBlocks(batch, /*arrival_time=*/1, threads);
-    EXPECT_EQ(result.accepted, batch.size());
-    ASSERT_EQ(result.statuses.size(), batch.size());
-    for (const Status& status : result.statuses) {
-      EXPECT_TRUE(status.ok()) << status.ToString();
+  Blockchain replica(FastParams(), funding);
+  for (const BlockEntry* entry : tc.chain().arrival_order()) {
+    if (entry->height() == 0) continue;
+    ASSERT_TRUE(replica.SubmitBlock(entry->block, /*arrival_time=*/1).ok());
+  }
+  EXPECT_EQ(replica.block_count(), 11u);
+  EXPECT_EQ(replica.head()->hash, tc.chain().head()->hash);
+  EXPECT_TRUE(replica.StateAtHead().utxos == tc.chain().StateAtHead().utxos);
+  EXPECT_EQ(replica.StateAtHead().LiquidValue(),
+            tc.chain().StateAtHead().LiquidValue());
+}
+
+// Two branches off genesis, mined into `source`: a two-block branch whose
+// first block pays Bob 50, and a longer empty one. The neutral miner key
+// keeps coinbase rewards out of Alice's and Bob's balances.
+struct TwoBranches {
+  std::vector<Block> paying;  // a1 (pays Bob), a2.
+  std::vector<Block> empty;   // b1, b2, b3: strictly heavier.
+};
+
+TwoBranches MineTwoBranches(Blockchain* source) {
+  const crypto::PublicKey miner = crypto::KeyPair::FromSeed(9999).public_key();
+  Rng rng(4242);
+  TimePoint now = 0;
+  auto mine_on = [&](const crypto::Hash256& parent,
+                     const std::vector<Transaction>& txs) {
+    now += 100;
+    auto block = source->AssembleBlock(parent, txs, miner, now, &rng);
+    EXPECT_TRUE(block.ok()) << block.status().ToString();
+    EXPECT_TRUE(source->SubmitBlock(*block, now).ok());
+    return *block;
+  };
+  TwoBranches out;
+  const crypto::Hash256 genesis = source->genesis()->hash;
+  auto tx = Wallet(Alice(), 0).BuildTransfer(source->StateAtHead(),
+                                             Bob().public_key(), 50, 1, 1);
+  EXPECT_TRUE(tx.ok());
+  out.paying.push_back(mine_on(genesis, {*tx}));
+  out.paying.push_back(mine_on(out.paying.back().header.Hash(), kNoCandidates));
+  crypto::Hash256 parent = genesis;
+  for (int i = 0; i < 3; ++i) {
+    out.empty.push_back(mine_on(parent, kNoCandidates));
+    parent = out.empty.back().header.Hash();
+  }
+  return out;
+}
+
+TEST(BlockIngestionTest, LateHeavierForkReorgsTheReplica) {
+  // A replica that first follows the paying branch switches to the empty
+  // one only when it becomes strictly heavier (a tie keeps the first
+  // seen), and its state then equals the winning branch's: Bob's payment
+  // is undone.
+  const auto allocations = Fund({Alice().public_key()}, 500);
+  Blockchain source(FastParams(), allocations);
+  const TwoBranches branches = MineTwoBranches(&source);
+  const Block& a2 = branches.paying[1];
+  const Block& b3 = branches.empty[2];
+  ASSERT_EQ(source.head()->hash, b3.header.Hash());
+
+  Blockchain replica(FastParams(), allocations);
+  int head_moves = 0;
+  replica.SubscribeHead([&](const BlockEntry&) { ++head_moves; });
+  for (const Block& block : branches.paying) {
+    ASSERT_TRUE(replica.SubmitBlock(block, 1).ok());
+  }
+  EXPECT_EQ(replica.head()->hash, a2.header.Hash());
+  EXPECT_EQ(replica.StateAtHead().BalanceOf(Bob().public_key()), 50u);
+
+  ASSERT_TRUE(replica.SubmitBlock(branches.empty[0], 2).ok());
+  ASSERT_TRUE(replica.SubmitBlock(branches.empty[1], 3).ok());
+  EXPECT_EQ(replica.head()->hash, a2.header.Hash());  // Tie: first seen.
+  EXPECT_EQ(head_moves, 2);
+
+  ASSERT_TRUE(replica.SubmitBlock(b3, 4).ok());
+  EXPECT_EQ(replica.head()->hash, b3.header.Hash());
+  EXPECT_EQ(head_moves, 3);
+  EXPECT_FALSE(replica.IsCanonical(branches.paying[0].header.Hash()));
+  EXPECT_EQ(replica.StateAtHead().BalanceOf(Bob().public_key()), 0u);
+  EXPECT_EQ(replica.StateAtHead().BalanceOf(Alice().public_key()), 500u);
+  EXPECT_TRUE(replica.StateAtHead().utxos == source.StateAtHead().utxos);
+}
+
+TEST(BlockIngestionTest, DeliveryOrderDoesNotChangeTheWinner) {
+  // The same blocks delivered parents-first, and children-first with the
+  // orphans resent after each pass (as a node re-requesting missing
+  // parents would), converge on the same head, store and state.
+  const auto allocations = Fund({Alice().public_key()}, 500);
+  Blockchain source(FastParams(), allocations);
+  const TwoBranches branches = MineTwoBranches(&source);
+  std::vector<Block> all = branches.paying;
+  all.insert(all.end(), branches.empty.begin(), branches.empty.end());
+
+  auto deliver = [&](std::vector<Block> pending) {
+    auto replica = std::make_unique<Blockchain>(FastParams(), allocations);
+    for (int pass = 0; !pending.empty(); ++pass) {
+      EXPECT_LT(pass, 5) << "orphans never resolved";
+      if (pass >= 5) break;
+      std::vector<Block> orphans;
+      for (const Block& block : pending) {
+        const Status status = replica->SubmitBlock(block, pass);
+        if (status.code() == StatusCode::kNotFound) {
+          orphans.push_back(block);
+        } else {
+          EXPECT_TRUE(status.ok()) << status.ToString();
+        }
+      }
+      pending = std::move(orphans);
     }
-    EXPECT_EQ(replica.head()->hash, tc.chain().head()->hash);
-    EXPECT_TRUE(replica.StateAtHead().utxos == tc.chain().StateAtHead().utxos);
-    EXPECT_EQ(replica.StateAtHead().LiquidValue(),
-              tc.chain().StateAtHead().LiquidValue());
+    return replica;
+  };
+  const auto in_order = deliver(all);
+  const auto reversed = deliver(std::vector<Block>(all.rbegin(), all.rend()));
+  for (const auto* replica : {in_order.get(), reversed.get()}) {
+    EXPECT_EQ(replica->block_count(), 6u);
+    EXPECT_EQ(replica->head()->hash, source.head()->hash);
+    EXPECT_TRUE(replica->StateAtHead().utxos == source.StateAtHead().utxos);
   }
 }
 

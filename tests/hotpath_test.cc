@@ -7,8 +7,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <set>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -27,10 +25,6 @@
 
 namespace ac3 {
 namespace {
-
-// Disambiguates the vector/span AssembleBlock overloads at empty-candidate
-// call sites ({} binds to both).
-const std::vector<chain::Transaction> kNoCandidates;
 
 // ---- HeaderHasher ----------------------------------------------------------
 
@@ -527,138 +521,26 @@ TEST(AncestryTest, TxOnBranchDistinguishesForks) {
   EXPECT_FALSE(tc.chain().TxOnBranch(*tip_a, crypto::Hash256()));
 }
 
-// ---- batch submission (parallel fork validation) ---------------------------
-
-// SubmitBlocks must be observationally identical to a serial SubmitBlock
-// loop over the same sequence — statuses, stored blocks, head movements —
-// whatever the thread count. The batch deliberately mixes the serial
-// loop's edge cases: fork siblings, a child ordered before its parent, a
-// duplicate, an unknown parent, and a validation failure.
-TEST(SubmitBlocksTest, BatchMatchesSerialSubmission) {
-  const chain::ChainParams params = chain::TestChainParams();
-  const crypto::KeyPair alice = crypto::KeyPair::FromSeed(1);
-  const crypto::KeyPair miner = crypto::KeyPair::FromSeed(2);
-  const auto allocations = testutil::Fund({alice.public_key()}, 500);
-
-  chain::Blockchain source(params, allocations);
-  Rng rng(31337);
-  TimePoint now = 0;
-  auto mine_on = [&](const crypto::Hash256& parent,
-                     const std::vector<chain::Transaction>& txs) {
-    now += 100;
-    auto block =
-        source.AssembleBlock(parent, txs, miner.public_key(), now, &rng);
-    EXPECT_TRUE(block.ok()) << block.status().ToString();
-    Status submitted = source.SubmitBlock(*block, now);
-    EXPECT_TRUE(submitted.ok()) << submitted.ToString();
-    return *block;
-  };
-
-  const crypto::Hash256 genesis = source.genesis()->hash;
-  const chain::Block base = mine_on(genesis, {});
-  chain::Wallet wallet(alice, source.id());
-  auto tx = wallet.BuildTransfer(source.Get(base.header.Hash())->state,
-                                 miner.public_key(), 50, 1, 1);
-  ASSERT_TRUE(tx.ok());
-  const chain::Block child1 = mine_on(base.header.Hash(), {*tx});
-  const chain::Block child2 = mine_on(child1.header.Hash(), {});
-  const chain::Block fork = mine_on(genesis, {});  // Sibling of `base`.
-
-  chain::Block orphan = base;
-  orphan.header.prev_hash = crypto::Hash256::OfString("nowhere");
-
-  // A valid unsubmitted block with tampered receipts: unique header hash,
-  // fails re-execution equality (receipt merkle root mismatch).
-  now += 100;
-  auto extra = source.AssembleBlock(child1.header.Hash(), kNoCandidates,
-                                    miner.public_key(), now, &rng);
-  ASSERT_TRUE(extra.ok());
-  chain::Block bad_receipts = *extra;
-  bad_receipts.receipts[0].note = "tampered";
-
-  const std::vector<chain::Block> batch = {
-      base,          // 0: accepted.
-      orphan,        // 1: unknown parent.
-      child2,        // 2: parent appears later in the batch -> orphan.
-      child1,        // 3: accepted (parent committed at index 0).
-      base,          // 4: duplicate -> AlreadyExists.
-      bad_receipts,  // 5: VerificationFailed.
-      fork,          // 6: accepted fork sibling.
-  };
-
-  chain::Blockchain serial_replica(params, allocations);
-  int serial_head_moves = 0;
-  serial_replica.SubscribeHead([&](const chain::BlockEntry&) {
-    ++serial_head_moves;
-  });
-  std::vector<Status> serial_statuses;
-  size_t serial_accepted = 0;
-  for (const chain::Block& block : batch) {
-    serial_statuses.push_back(serial_replica.SubmitBlock(block, 999));
-    if (serial_statuses.back().ok()) ++serial_accepted;
-  }
-
-  chain::Blockchain batch_replica(params, allocations);
-  int batch_head_moves = 0;
-  batch_replica.SubscribeHead([&](const chain::BlockEntry&) {
-    ++batch_head_moves;
-  });
-  const auto result = batch_replica.SubmitBlocks(batch, 999, /*threads=*/4);
-
-  ASSERT_EQ(result.statuses.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(result.statuses[i].code(), serial_statuses[i].code())
-        << "block " << i << ": batch '" << result.statuses[i]
-        << "' vs serial '" << serial_statuses[i] << "'";
-  }
-  EXPECT_EQ(result.accepted, serial_accepted);
-  EXPECT_EQ(batch_replica.head()->hash, serial_replica.head()->hash);
-  EXPECT_EQ(batch_replica.block_count(), serial_replica.block_count());
-  EXPECT_EQ(batch_head_moves, serial_head_moves);
-
-  // A second pass over the same batch still matches serial: everything is
-  // a duplicate except child2, whose parent landed in pass one.
-  const auto again = batch_replica.SubmitBlocks(batch, 1999, /*threads=*/4);
-  std::vector<Status> serial_again;
-  size_t serial_again_accepted = 0;
-  for (const chain::Block& block : batch) {
-    serial_again.push_back(serial_replica.SubmitBlock(block, 1999));
-    if (serial_again.back().ok()) ++serial_again_accepted;
-  }
-  EXPECT_EQ(again.accepted, serial_again_accepted);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(again.statuses[i].code(), serial_again[i].code()) << i;
-  }
-  EXPECT_EQ(batch_replica.head()->hash, serial_replica.head()->hash);
-}
-
-// The pure catch-up shape: one linear chain submitted in order. Every
-// round resolves exactly one block (each block waits on its predecessor),
-// so this exercises the prefix-scan frontier logic end to end.
-TEST(SubmitBlocksTest, LinearChainCatchUp) {
-  const chain::ChainParams params = chain::TestChainParams();
-  const crypto::KeyPair alice = crypto::KeyPair::FromSeed(1);
-  const auto allocations = testutil::Fund({alice.public_key()}, 500);
-  testutil::TestChain source(params, allocations);
-  std::vector<chain::Block> batch;
-  ASSERT_TRUE(source.MineEmpty(40).ok());
-  for (const chain::BlockEntry* walk = source.chain().head();
-       walk->parent != nullptr; walk = walk->parent) {
-    batch.push_back(walk->block);
-  }
-  std::reverse(batch.begin(), batch.end());  // Genesis-outward order.
-
-  chain::Blockchain replica(params, allocations);
-  const auto result = replica.SubmitBlocks(batch, 7, /*threads=*/4);
-  EXPECT_EQ(result.accepted, batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_TRUE(result.statuses[i].ok()) << i << ": " << result.statuses[i];
-  }
-  EXPECT_EQ(replica.head()->hash, source.chain().head()->hash);
-  EXPECT_EQ(replica.height(), source.chain().height());
-}
-
 // ---- incremental visible head ----------------------------------------------
+
+// The reference the incremental tracker must reproduce: a full scan over
+// every stored entry for the heaviest one whose gossip has reached
+// `miner` by `now`, ties to the earlier arrival.
+const chain::BlockEntry* FullScanVisibleHead(const chain::Blockchain& chain,
+                                         const chain::MiningNetwork& miners,
+                                         int miner, TimePoint now) {
+  const chain::BlockEntry* best = chain.genesis();
+  chain.ForEachEntry([&](const crypto::Hash256& hash,
+                         const chain::BlockEntry& entry) {
+    if (entry.arrival_time + miners.GossipDelay(hash, miner) > now) return;
+    if (entry.total_work > best->total_work ||
+        (entry.total_work == best->total_work &&
+         entry.arrival_seq < best->arrival_seq)) {
+      best = &entry;
+    }
+  });
+  return best;
+}
 
 TEST(VisibleHeadTest, IncrementalMatchesFullScan) {
   chain::ChainParams params = chain::TestChainParams();
@@ -676,23 +558,56 @@ TEST(VisibleHeadTest, IncrementalMatchesFullScan) {
                                       Hours(1))
                   .ok());
   env.StopMining();
-  chain::MiningNetwork* miners = env.miners(id);
+  const chain::MiningNetwork* miners = env.miners(id);
   ASSERT_GT(chain->block_count(), chain->height());  // Forks happened.
 
+  // Each miner's tracker was last queried by its own production, at or
+  // before `now`; queries at rising times fold in the blocks still in
+  // flight and must agree with the scan at every step.
   const TimePoint now = env.sim()->Now();
   for (int miner = 0; miner < mining.miner_count; ++miner) {
-    // Incremental == reference at the present...
-    EXPECT_EQ(miners->VisibleHead(miner, now),
-              miners->VisibleHeadScan(miner, now))
-        << "miner " << miner;
-    // ...a query into the past falls back to the exact scan...
-    const TimePoint past = now / 2;
-    EXPECT_EQ(miners->VisibleHead(miner, past),
-              miners->VisibleHeadScan(miner, past));
-    // ...and the tracker state is unharmed for later queries.
-    EXPECT_EQ(miners->VisibleHead(miner, now + 1000),
-              miners->VisibleHeadScan(miner, now + 1000));
+    for (const TimePoint at : {now, now + Milliseconds(20),
+                               now + Milliseconds(80), now + 1000}) {
+      EXPECT_EQ(miners->VisibleHead(miner, at),
+                FullScanVisibleHead(*chain, *miners, miner, at))
+          << "miner " << miner << " at " << at;
+    }
   }
+}
+
+TEST(VisibleHeadTest, GossipDelayIsZeroForProducerAndBoundedElsewhere) {
+  // The per-(block, miner) delay both trackers read: each mined block is
+  // instantly visible to one miner (its producer), reaches every other
+  // within max_propagation_delay, and draws the same delay on every call.
+  chain::ChainParams params = chain::TestChainParams();
+  core::Environment env(/*seed=*/7);
+  chain::MiningConfig mining;
+  mining.miner_count = 4;
+  mining.max_propagation_delay = Milliseconds(80);
+  const chain::ChainId id = env.AddChain(params, {}, mining);
+  env.StartMining();
+  const chain::Blockchain* chain = env.blockchain(id);
+  ASSERT_TRUE(env.sim()
+                  ->RunUntilCondition([&]() { return chain->height() >= 20; },
+                                      Hours(1))
+                  .ok());
+  env.StopMining();
+  const chain::MiningNetwork* miners = env.miners(id);
+  int positive = 0;
+  for (const chain::BlockEntry* entry : chain->arrival_order()) {
+    if (entry->height() == 0) continue;
+    Duration fastest = mining.max_propagation_delay + 1;
+    for (int miner = 0; miner < mining.miner_count; ++miner) {
+      const Duration delay = miners->GossipDelay(entry->hash, miner);
+      EXPECT_GE(delay, 0);
+      EXPECT_LE(delay, mining.max_propagation_delay);
+      EXPECT_EQ(miners->GossipDelay(entry->hash, miner), delay);
+      fastest = std::min(fastest, delay);
+      if (delay > 0) ++positive;
+    }
+    EXPECT_EQ(fastest, 0) << "block at height " << entry->height();
+  }
+  EXPECT_GT(positive, 0);  // Gossip is not instantaneous.
 }
 
 // ---- mempool ---------------------------------------------------------------
@@ -714,12 +629,13 @@ TEST(MempoolIndexTest, OutOfOrderArrivalsStaySorted) {
   ASSERT_TRUE(pool.Submit(t2, 100).ok());  // Arrives out of order.
   ASSERT_TRUE(pool.Submit(t3, 300).ok());  // Ties keep submission order.
 
-  auto candidates = pool.CandidatesAt(300, std::set<crypto::Hash256>{});
+  auto candidates = pool.CandidatePointersAt(300, chain::Mempool::TxFilter());
   ASSERT_EQ(candidates.size(), 3u);
-  EXPECT_EQ(candidates[0].Id(), t2.Id());
-  EXPECT_EQ(candidates[1].Id(), t1.Id());
-  EXPECT_EQ(candidates[2].Id(), t3.Id());
-  EXPECT_EQ(pool.CandidatesAt(200, std::set<crypto::Hash256>{}).size(), 1u);
+  EXPECT_EQ(candidates[0]->Id(), t2.Id());
+  EXPECT_EQ(candidates[1]->Id(), t1.Id());
+  EXPECT_EQ(candidates[2]->Id(), t3.Id());
+  EXPECT_EQ(pool.CandidatePointersAt(200, chain::Mempool::TxFilter()).size(),
+            1u);
 }
 
 TEST(MempoolIndexTest, FilterCallbackExcludes) {
@@ -728,10 +644,10 @@ TEST(MempoolIndexTest, FilterCallbackExcludes) {
   const chain::Transaction t2 = SignedTransfer(2);
   ASSERT_TRUE(pool.Submit(t1, 0).ok());
   ASSERT_TRUE(pool.Submit(t2, 0).ok());
-  auto candidates = pool.CandidatesAt(
+  auto candidates = pool.CandidatePointersAt(
       10, [&](const crypto::Hash256& id) { return id == t1.Id(); });
   ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates[0].Id(), t2.Id());
+  EXPECT_EQ(candidates[0]->Id(), t2.Id());
 }
 
 TEST(MempoolIndexTest, PruneDropsEntriesAndIdsTogether) {
@@ -741,18 +657,18 @@ TEST(MempoolIndexTest, PruneDropsEntriesAndIdsTogether) {
     txs.push_back(SignedTransfer(i + 1));
     ASSERT_TRUE(pool.Submit(txs.back(), static_cast<TimePoint>(i)).ok());
   }
-  std::set<crypto::Hash256> included;
-  for (size_t i = 0; i < txs.size(); i += 2) included.insert(txs[i].Id());
+  std::vector<crypto::Hash256> included;
+  for (size_t i = 0; i < txs.size(); i += 2) included.push_back(txs[i].Id());
   pool.Prune(included);
   EXPECT_EQ(pool.size(), 5u);
   for (size_t i = 0; i < txs.size(); ++i) {
     EXPECT_EQ(pool.Contains(txs[i].Id()), i % 2 == 1) << i;
   }
   // Survivors keep arrival order.
-  auto candidates = pool.CandidatesAt(100, std::set<crypto::Hash256>{});
+  auto candidates = pool.CandidatePointersAt(100, chain::Mempool::TxFilter());
   ASSERT_EQ(candidates.size(), 5u);
   for (size_t i = 0; i + 1 < candidates.size(); ++i) {
-    EXPECT_EQ(candidates[i].nonce + 2, candidates[i + 1].nonce);
+    EXPECT_EQ(candidates[i]->nonce + 2, candidates[i + 1]->nonce);
   }
 }
 

@@ -1,10 +1,10 @@
 // Mempool tests: FIFO candidate ordering, arrival-time visibility (a
 // transaction gossiped at t is not minable before t), pruning, and the
-// interaction with block capacity via CandidatesAt.
+// interaction with block capacity via CandidatePointersAt.
 
 #include "src/chain/mempool.h"
 
-#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -43,7 +43,6 @@ class MempoolTest : public ::testing::Test {
   testutil::TestChain world_;
   Wallet alice_;
   Mempool pool_;
-  std::set<crypto::Hash256> none_;
 };
 
 TEST_F(MempoolTest, CandidatesComeOutInArrivalOrder) {
@@ -53,18 +52,18 @@ TEST_F(MempoolTest, CandidatesComeOutInArrivalOrder) {
   ASSERT_TRUE(pool_.Submit(t2, /*arrival=*/10).ok());
   ASSERT_TRUE(pool_.Submit(t1, /*arrival=*/20).ok());
   ASSERT_TRUE(pool_.Submit(t3, /*arrival=*/30).ok());
-  auto candidates = pool_.CandidatesAt(/*now=*/100, none_);
+  auto candidates = pool_.CandidatePointersAt(/*now=*/100, {});
   ASSERT_EQ(candidates.size(), 3u);
-  EXPECT_EQ(candidates[0].Id(), t2.Id());
-  EXPECT_EQ(candidates[1].Id(), t1.Id());
-  EXPECT_EQ(candidates[2].Id(), t3.Id());
+  EXPECT_EQ(candidates[0]->Id(), t2.Id());
+  EXPECT_EQ(candidates[1]->Id(), t1.Id());
+  EXPECT_EQ(candidates[2]->Id(), t3.Id());
 }
 
 TEST_F(MempoolTest, FutureArrivalsAreInvisible) {
   Transaction tx = MakeTransfer(1);
   ASSERT_TRUE(pool_.Submit(tx, /*arrival=*/500).ok());
-  EXPECT_TRUE(pool_.CandidatesAt(/*now=*/499, none_).empty());
-  EXPECT_EQ(pool_.CandidatesAt(/*now=*/500, none_).size(), 1u);
+  EXPECT_TRUE(pool_.CandidatePointersAt(/*now=*/499, {}).empty());
+  EXPECT_EQ(pool_.CandidatePointersAt(/*now=*/500, {}).size(), 1u);
 }
 
 TEST_F(MempoolTest, DuplicateSubmissionRejectedButHarmless) {
@@ -80,10 +79,10 @@ TEST_F(MempoolTest, IncludedTransactionsAreFiltered) {
   Transaction t2 = MakeTransfer(2);
   ASSERT_TRUE(pool_.Submit(t1, 0).ok());
   ASSERT_TRUE(pool_.Submit(t2, 0).ok());
-  std::set<crypto::Hash256> included{t1.Id()};
-  auto candidates = pool_.CandidatesAt(100, included);
+  auto candidates = pool_.CandidatePointersAt(
+      100, [&](const crypto::Hash256& id) { return id == t1.Id(); });
   ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates[0].Id(), t2.Id());
+  EXPECT_EQ(candidates[0]->Id(), t2.Id());
 }
 
 TEST_F(MempoolTest, PruneDropsEntriesPermanently) {
@@ -91,13 +90,13 @@ TEST_F(MempoolTest, PruneDropsEntriesPermanently) {
   Transaction t2 = MakeTransfer(2);
   ASSERT_TRUE(pool_.Submit(t1, 0).ok());
   ASSERT_TRUE(pool_.Submit(t2, 0).ok());
-  pool_.Prune({t1.Id()});
+  pool_.Prune(std::vector<crypto::Hash256>{t1.Id()});
   EXPECT_EQ(pool_.size(), 1u);
   EXPECT_FALSE(pool_.Contains(t1.Id()));
   EXPECT_TRUE(pool_.Contains(t2.Id()));
-  auto candidates = pool_.CandidatesAt(100, none_);
+  auto candidates = pool_.CandidatePointersAt(100, {});
   ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates[0].Id(), t2.Id());
+  EXPECT_EQ(candidates[0]->Id(), t2.Id());
 }
 
 TEST_F(MempoolTest, CapacityIsEnforcedByBlockAssemblyNotThePool) {
@@ -110,7 +109,7 @@ TEST_F(MempoolTest, CapacityIsEnforcedByBlockAssemblyNotThePool) {
     ASSERT_TRUE(pool_.Submit(tx, 0).ok());
     batch.push_back(tx);
   }
-  auto candidates = pool_.CandidatesAt(100, none_);
+  auto candidates = pool_.CandidatePointersAt(100, {});
   EXPECT_EQ(candidates.size(), capacity + 5);
   Rng rng(1);
   auto block = world_.chain().AssembleBlock(world_.chain().head()->hash,
@@ -121,7 +120,7 @@ TEST_F(MempoolTest, CapacityIsEnforcedByBlockAssemblyNotThePool) {
   // stays pooled for the next block.
   ASSERT_EQ(block->txs.size(), capacity + 1);
   for (size_t i = 0; i < capacity; ++i) {
-    EXPECT_EQ(block->txs[i + 1].Id(), candidates[i].Id()) << "position " << i;
+    EXPECT_EQ(block->txs[i + 1].Id(), candidates[i]->Id()) << "position " << i;
   }
 }
 
@@ -141,11 +140,11 @@ TEST_F(MempoolTest, SameArrivalSubmitsKeepSubmissionOrder) {
     ASSERT_TRUE(pool_.Submit(txs[i], /*arrival=*/40).ok());
   }
   EXPECT_EQ(pool_.size(), txs.size());
-  EXPECT_TRUE(pool_.CandidatesAt(39, none_).empty());
-  auto candidates = pool_.CandidatesAt(40, none_);
+  EXPECT_TRUE(pool_.CandidatePointersAt(39, {}).empty());
+  auto candidates = pool_.CandidatePointersAt(40, {});
   ASSERT_EQ(candidates.size(), txs.size());
   for (size_t k = 0; k < order.size(); ++k) {
-    EXPECT_EQ(candidates[k].Id(), txs[order[k]].Id()) << "position " << k;
+    EXPECT_EQ(candidates[k]->Id(), txs[order[k]].Id()) << "position " << k;
   }
 }
 
@@ -157,13 +156,13 @@ TEST_F(MempoolTest, DuplicateSubmitKeepsOriginalArrival) {
   EXPECT_FALSE(pool_.Submit(t1, /*arrival=*/10).ok());
   ASSERT_TRUE(pool_.Submit(t2, /*arrival=*/10).ok());
   EXPECT_EQ(pool_.size(), 2u);
-  auto early = pool_.CandidatesAt(5, none_);
+  auto early = pool_.CandidatePointersAt(5, {});
   ASSERT_EQ(early.size(), 1u);
-  EXPECT_EQ(early[0].Id(), t1.Id());
-  auto all = pool_.CandidatesAt(100, none_);
+  EXPECT_EQ(early[0]->Id(), t1.Id());
+  auto all = pool_.CandidatePointersAt(100, {});
   ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].Id(), t1.Id());
-  EXPECT_EQ(all[1].Id(), t2.Id());
+  EXPECT_EQ(all[0]->Id(), t1.Id());
+  EXPECT_EQ(all[1]->Id(), t2.Id());
 }
 
 TEST_F(MempoolTest, EarlierArrivalsSubmittedLateSortAhead) {
@@ -176,12 +175,12 @@ TEST_F(MempoolTest, EarlierArrivalsSubmittedLateSortAhead) {
   Transaction e2 = MakeTransfer(3);
   ASSERT_TRUE(pool_.Submit(e1, /*arrival=*/50).ok());
   ASSERT_TRUE(pool_.Submit(e2, /*arrival=*/50).ok());
-  auto candidates = pool_.CandidatesAt(200, none_);
+  auto candidates = pool_.CandidatePointersAt(200, {});
   ASSERT_EQ(candidates.size(), 3u);
-  EXPECT_EQ(candidates[0].Id(), e1.Id());
-  EXPECT_EQ(candidates[1].Id(), e2.Id());
-  EXPECT_EQ(candidates[2].Id(), late.Id());
-  EXPECT_EQ(pool_.CandidatesAt(60, none_).size(), 2u);
+  EXPECT_EQ(candidates[0]->Id(), e1.Id());
+  EXPECT_EQ(candidates[1]->Id(), e2.Id());
+  EXPECT_EQ(candidates[2]->Id(), late.Id());
+  EXPECT_EQ(pool_.CandidatePointersAt(60, {}).size(), 2u);
 }
 
 TEST_F(MempoolTest, PrunedTransactionCanBeSubmittedAgain) {
@@ -191,54 +190,82 @@ TEST_F(MempoolTest, PrunedTransactionCanBeSubmittedAgain) {
   Transaction t2 = MakeTransfer(2);
   ASSERT_TRUE(pool_.Submit(t1, 0).ok());
   ASSERT_TRUE(pool_.Submit(t2, 0).ok());
-  pool_.Prune({t1.Id()});
+  pool_.Prune(std::vector<crypto::Hash256>{t1.Id()});
   ASSERT_FALSE(pool_.Contains(t1.Id()));
   ASSERT_TRUE(pool_.Submit(t1, /*arrival=*/30).ok());
   EXPECT_TRUE(pool_.Contains(t1.Id()));
   EXPECT_FALSE(pool_.Submit(t1, /*arrival=*/40).ok());
-  auto candidates = pool_.CandidatesAt(100, none_);
+  auto candidates = pool_.CandidatePointersAt(100, {});
   ASSERT_EQ(candidates.size(), 2u);
-  EXPECT_EQ(candidates[0].Id(), t2.Id());
-  EXPECT_EQ(candidates[1].Id(), t1.Id());
-  EXPECT_EQ(pool_.CandidatesAt(20, none_).size(), 1u);
+  EXPECT_EQ(candidates[0]->Id(), t2.Id());
+  EXPECT_EQ(candidates[1]->Id(), t1.Id());
+  EXPECT_EQ(pool_.CandidatePointersAt(20, {}).size(), 1u);
 }
 
-TEST_F(MempoolTest, CandidatePointersMatchValueCandidates) {
-  std::vector<Transaction> batch;
-  for (uint64_t i = 1; i <= 8; ++i) batch.push_back(MakeTransfer(i));
-  for (const Transaction& tx : batch) ASSERT_TRUE(pool_.Submit(tx, 5).ok());
-  std::set<crypto::Hash256> included{batch[2].Id(), batch[6].Id()};
-  auto values = pool_.CandidatesAt(100, included);
-  auto pointers = pool_.CandidatePointersAt(
-      100, [&](const crypto::Hash256& id) { return included.count(id) > 0; });
-  ASSERT_EQ(pointers.size(), values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(pointers[i]->Id(), values[i].Id());
-  }
-}
-
-TEST_F(MempoolTest, PruneSpanMatchesSetPrune) {
+TEST_F(MempoolTest, PruneTakesUnsortedIdsWithUnknownsAndDuplicates) {
   std::vector<Transaction> batch;
   for (uint64_t i = 1; i <= 10; ++i) batch.push_back(MakeTransfer(i));
-  Mempool set_pool;
-  Mempool span_pool;
-  for (const Transaction& tx : batch) {
-    ASSERT_TRUE(set_pool.Submit(tx, 0).ok());
-    ASSERT_TRUE(span_pool.Submit(tx, 0).ok());
+  for (const Transaction& tx : batch) ASSERT_TRUE(pool_.Submit(tx, 0).ok());
+  const std::vector<crypto::Hash256> drop{
+      batch[7].Id(), batch[1].Id(), crypto::Hash256::Of(Bytes{9, 9}),
+      batch[4].Id(), batch[1].Id()};
+  pool_.Prune(drop);
+  EXPECT_EQ(pool_.size(), 7u);
+  // Survivors keep their arrival order.
+  auto candidates = pool_.CandidatePointersAt(100, {});
+  ASSERT_EQ(candidates.size(), 7u);
+  size_t k = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (i == 1 || i == 4 || i == 7) continue;
+    EXPECT_EQ(candidates[k++]->Id(), batch[i].Id()) << "position " << i;
   }
-  // Unsorted, with an unknown id mixed in.
-  std::vector<crypto::Hash256> drop{batch[7].Id(), batch[1].Id(),
-                                    crypto::Hash256::Of(Bytes{9, 9}),
-                                    batch[4].Id()};
-  set_pool.Prune(std::set<crypto::Hash256>(drop.begin(), drop.end()));
-  span_pool.Prune(std::span<const crypto::Hash256>(drop));
-  EXPECT_EQ(span_pool.size(), set_pool.size());
-  auto expected = set_pool.CandidatesAt(100, none_);
-  auto actual = span_pool.CandidatesAt(100, none_);
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual[i].Id(), expected[i].Id());
+}
+
+TEST_F(MempoolTest, PruneWithNothingKnownLeavesThePoolIntact) {
+  // An empty id list, or one naming only ids the pool never held (a
+  // canonical block of someone else's transactions), drops nothing: the
+  // entries, their order and the duplicate index all survive.
+  Transaction t1 = MakeTransfer(1);
+  Transaction t2 = MakeTransfer(2);
+  ASSERT_TRUE(pool_.Submit(t1, 10).ok());
+  ASSERT_TRUE(pool_.Submit(t2, 20).ok());
+  pool_.Prune(std::vector<crypto::Hash256>{});
+  pool_.Prune(std::vector<crypto::Hash256>{crypto::Hash256::Of(Bytes{1}),
+                                           crypto::Hash256::Of(Bytes{2})});
+  EXPECT_EQ(pool_.size(), 2u);
+  EXPECT_TRUE(pool_.Contains(t1.Id()));
+  EXPECT_TRUE(pool_.Contains(t2.Id()));
+  EXPECT_FALSE(pool_.Submit(t1, 30).ok());
+  auto candidates = pool_.CandidatePointersAt(100, {});
+  ASSERT_EQ(candidates.size(), 2u);
+  EXPECT_EQ(candidates[0]->Id(), t1.Id());
+  EXPECT_EQ(candidates[1]->Id(), t2.Id());
+}
+
+TEST_F(MempoolTest, FilterAndArrivalCutoffCombine) {
+  // A miner's query applies both rules at once: a transaction must have
+  // arrived by `now` and must not already be on the assembling branch.
+  // The pointers address the pooled transactions themselves.
+  std::vector<Transaction> batch;
+  for (uint64_t i = 1; i <= 6; ++i) batch.push_back(MakeTransfer(i));
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(pool_.Submit(batch[i], static_cast<TimePoint>(10 * i)).ok());
   }
+  // Visible at 35: batch[0..3]; batch[1] and batch[5] are on the branch.
+  auto candidates = pool_.CandidatePointersAt(
+      35, [&](const crypto::Hash256& id) {
+        return id == batch[1].Id() || id == batch[5].Id();
+      });
+  ASSERT_EQ(candidates.size(), 3u);
+  const size_t expected[] = {0, 2, 3};
+  for (size_t k = 0; k < candidates.size(); ++k) {
+    EXPECT_EQ(candidates[k]->Encode(), batch[expected[k]].Encode())
+        << "position " << k;
+  }
+  // Filtering everything leaves nothing, whatever is visible.
+  EXPECT_TRUE(
+      pool_.CandidatePointersAt(100, [](const crypto::Hash256&) { return true; })
+          .empty());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // worker pool is deterministic (N threads reproduce 1 thread bit-for-bit),
 // and aggregation computes the statistics the benches publish.
 
+#include <atomic>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -153,37 +154,10 @@ TEST(BenchOutputTest, WriteBenchJsonRoundTripsThroughDisk) {
 
 // ---- worker pool ----------------------------------------------------------
 
-TEST(ParallelMapTest, CoversEveryIndexExactlyOnce) {
-  for (int threads : {1, 2, 7}) {
-    std::vector<int> out = ParallelMap<int>(100, threads,
-                                            [](int i) { return i * i; });
-    ASSERT_EQ(out.size(), 100u);
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(out[static_cast<size_t>(i)], i * i);
-  }
-}
-
-TEST(ParallelMapTest, HandlesEmptyAndSingleton) {
-  EXPECT_TRUE(ParallelMap<int>(0, 4, [](int) { return 1; }).empty());
-  EXPECT_EQ(ParallelMap<int>(1, 4, [](int i) { return i + 5; })[0], 5);
-}
-
 // Regression: a throwing grid cell used to escape its worker thread and
-// take the whole process down with std::terminate. The unified
+// take the whole process down with std::terminate. The runner's
 // common::WorkerPool captures the first exception and rethrows it on the
-// caller — from ParallelFor/ParallelMap and from a SweepRunner alike.
-TEST(ParallelMapTest, MidGridThrowRethrowsOnCaller) {
-  for (int threads : {1, 4}) {
-    EXPECT_THROW(ParallelMap<int>(64, threads,
-                                  [](int i) -> int {
-                                    if (i == 23) {
-                                      throw std::runtime_error("mid-grid");
-                                    }
-                                    return i;
-                                  }),
-                 std::runtime_error);
-  }
-}
-
+// caller.
 TEST(SweepRunnerTest, MapRethrowsWorldFailureAndSurvives) {
   SweepRunner runner(3);
   EXPECT_THROW(runner.Map<int>(16,
@@ -198,6 +172,57 @@ TEST(SweepRunnerTest, MapRethrowsWorldFailureAndSurvives) {
   std::vector<int> out = runner.Map<int>(8, [](int i) { return i * 2; });
   ASSERT_EQ(out.size(), 8u);
   EXPECT_EQ(out[7], 14);
+}
+
+// Map is the runner's generic fan-out: every index runs exactly once and
+// its result lands at its own position, whatever the thread count
+// (including more threads than a round can keep busy).
+TEST(SweepRunnerTest, MapCoversEveryIndexExactlyOnce) {
+  for (int threads : {1, 2, 7}) {
+    SweepRunner runner(threads);
+    std::vector<std::atomic<int>> calls(100);
+    std::vector<int> out = runner.Map<int>(100, [&](int i) {
+      calls[static_cast<size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+      return i * i;
+    });
+    ASSERT_EQ(out.size(), 100u);
+    for (int i = 0; i < 100; ++i) {
+      EXPECT_EQ(out[static_cast<size_t>(i)], i * i) << "threads " << threads;
+      EXPECT_EQ(calls[static_cast<size_t>(i)].load(), 1)
+          << "threads " << threads << " index " << i;
+    }
+  }
+}
+
+TEST(SweepRunnerTest, MapHandlesEmptyAndSingleton) {
+  SweepRunner runner(4);
+  int calls = 0;
+  EXPECT_TRUE(runner.Map<int>(0, [&](int) { return ++calls; }).empty());
+  EXPECT_EQ(calls, 0);
+  const std::vector<int> one = runner.Map<int>(1, [](int i) { return i + 5; });
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0], 5);
+}
+
+// A one-thread runner maps inline on the caller, with no workers; a
+// throwing cell must still surface as the same exception, and the
+// runner must stay usable afterwards.
+TEST(SweepRunnerTest, SingleThreadMapRethrowsOnCaller) {
+  SweepRunner runner(1);
+  ASSERT_EQ(runner.threads(), 1);
+  int ran = 0;
+  EXPECT_THROW(runner.Map<int>(64,
+                               [&](int i) -> int {
+                                 ++ran;
+                                 if (i == 23) {
+                                   throw std::runtime_error("mid-grid");
+                                 }
+                                 return i;
+                               }),
+               std::runtime_error);
+  EXPECT_EQ(ran, 24);  // Cells run in order and stop at the throw.
+  const std::vector<int> out = runner.Map<int>(3, [](int i) { return -i; });
+  EXPECT_EQ(out, (std::vector<int>{0, -1, -2}));
 }
 
 // ---- grid + aggregation ---------------------------------------------------

@@ -1,9 +1,9 @@
-// The sharded chain-index substrate (PR: sharded multi-chain world state):
+// The sharded chain-index substrate:
 //  * SlabPool geometry, reuse, and the memory-ceiling contract;
 //  * ShardedIndex semantics — pointer stability across rehash,
-//    deterministic iteration, the hot list, and randomized churn proven
-//    equivalent to the single-map oracle mode (the MineHeaderScalar /
-//    VisibleHeadScan discipline);
+//    deterministic iteration, and randomized churn (inserts, lookups and
+//    accumulating updates, which exercise the per-shard hot entry) proven
+//    equivalent to the single-map oracle mode;
 //  * ChainIndex behind a Blockchain — fork/reorg churn driven identically
 //    into a sharded chain and an oracle chain must answer every query
 //    identically, and per-entry state snapshots stay independent.
@@ -176,7 +176,7 @@ TEST(ShardedIndexTest, RandomChurnMatchesOracle) {
   Rng rng(4242);
   for (int op = 0; op < 20000; ++op) {
     const uint64_t key = rng.NextU64() % 4096;
-    switch (rng.NextU64() % 4) {
+    switch (rng.NextU64() % 3) {
       case 0: {
         const uint64_t value = rng.NextU64();
         auto a = sharded.Emplace(key, value);
@@ -186,18 +186,14 @@ TEST(ShardedIndexTest, RandomChurnMatchesOracle) {
         break;
       }
       case 1: {
-        const uint64_t* a = std::as_const(sharded).Find(key);
-        const uint64_t* b = std::as_const(oracle).Find(key);
+        const uint64_t* a = sharded.Find(key);
+        const uint64_t* b = oracle.Find(key);
         ASSERT_EQ(a != nullptr, b != nullptr);
         if (a != nullptr) {
           EXPECT_EQ(*a, *b);
         }
         break;
       }
-      case 2:
-        sharded.Touch(key);
-        oracle.Touch(key);
-        break;
       default: {
         const uint64_t bump = rng.NextU64() % 7;
         sharded.GetOrCreate(key) += bump;
@@ -219,34 +215,6 @@ TEST(ShardedIndexTest, RandomChurnMatchesOracle) {
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
-}
-
-TEST(ShardedIndexTest, HotListFrontIsMostRecentlyTouched) {
-  ShardedIndex<uint64_t, uint64_t>::Options options;
-  options.shards = 1;  // One shard so the hot order is fully observable.
-  ShardedIndex<uint64_t, uint64_t> index(options);
-  index.Emplace(1, 10);
-  index.Emplace(2, 20);
-  index.Emplace(3, 30);
-
-  auto hot_front = [&]() {
-    uint64_t front = 0;
-    bool first = true;
-    index.ForEachHot(1, [&](const uint64_t& k, const uint64_t&) {
-      if (first) front = k;
-      first = false;
-    });
-    return front;
-  };
-  EXPECT_EQ(hot_front(), 3u);  // Insertion counts as a touch.
-  index.Touch(1);
-  EXPECT_EQ(hot_front(), 1u);
-  // A const lookup is pure-read: the hot order must not move.
-  ASSERT_NE(std::as_const(index).Find(2), nullptr);
-  EXPECT_EQ(hot_front(), 1u);
-  // A mutable lookup touches.
-  ASSERT_NE(index.Find(2), nullptr);
-  EXPECT_EQ(hot_front(), 2u);
 }
 
 TEST(ShardedIndexTest, SlabMemoryStaysUnderCeiling) {
