@@ -12,6 +12,7 @@
 
 #include "bench/bench_util.h"
 #include "src/runner/bench_output.h"
+#include "src/runner/sweep_runner.h"
 
 namespace ac3 {
 namespace {
@@ -27,7 +28,7 @@ runner::Json RunTimeline(int diameter) {
   options.seed = 4900 + static_cast<uint64_t>(diameter);
   core::ScenarioWorld world(options);
   world.StartMining();
-  graph::Ac2tGraph ring = benchutil::MakeRingOverWorld(&world, diameter);
+  graph::Ac2tGraph ring = runner::RingOverWorld(&world, diameter);
   protocols::Ac3wnSwapEngine engine(world.env(), ring,
                                     world.all_participants(),
                                     world.witness_chain(),

@@ -1,21 +1,21 @@
-// Many-chain world-state benchmark: the sharded ChainIndex under a grid of
+// Many-chain world-state benchmark: the ChainIndex under a grid of
 // chains × accounts × transactions. Each cell builds an independent fleet
 // of blockchains (transfers + an HTLC deploy/redeem per chain so the
 // contract-call index carries real traffic), then measures sustained
 // random lookups — FindTx, FindCall, entry Get/Contains — round-robin
 // across the fleet. The headline claims this harness guards:
 //
-//   * per-op lookup cost stays flat as the chain count grows (hash-sharded
+//   * per-op lookup cost stays flat as the chain count grows (hashed
 //     indexes, not a scan over chains or entries);
-//   * peak RSS stays under the declared ceiling (slab-backed nodes, no
-//     per-node heap overhead explosion);
-//   * the sharded index answers every query exactly like the single-map
-//     oracle mode — checked in-process here, and the process exits
-//     non-zero on any divergence.
+//   * peak RSS stays under the declared ceiling (no per-chain
+//     preallocation; the process exits non-zero past it).
+//
+// The index's query answers are checked against a head-to-genesis walk in
+// tests/chain_index_test.cc, not here.
 //
 // Determinism contract: everything under "results" (per-cell fingerprints
-// over head hashes, block/tx counts, the equivalence verdict, the declared
-// RSS ceiling) is a pure function of the seeds. Ops/sec, wall times and
+// over head hashes, block/tx counts, lookup hits, the declared RSS
+// ceiling) is a pure function of the seeds. Ops/sec, wall times and
 // the measured peak RSS are machine-dependent and live under "wall".
 
 #include <chrono>
@@ -63,10 +63,8 @@ Bytes SecretBytes() {
 }
 
 /// Builds one chain of the fleet: HTLC deploy (block 1) + redeem (block 2),
-/// then round-robin transfers. When `twin` is non-null the exact same
-/// blocks are submitted to it as well (the sharded-vs-oracle probe).
-ChainFixture BuildChain(const CellConfig& cell, int chain_seq,
-                        chain::Blockchain* twin) {
+/// then round-robin transfers.
+ChainFixture BuildChain(const CellConfig& cell, int chain_seq) {
   chain::ChainParams params = chain::TestChainParams();
   params.id = static_cast<chain::ChainId>(chain_seq + 1);
   params.difficulty_bits = 2;  // ~4 nonce evals/block: indexing dominates.
@@ -97,7 +95,6 @@ ChainFixture BuildChain(const CellConfig& cell, int chain_seq,
     auto block =
         bc.AssembleBlock(bc.head()->hash, txs, miner.public_key(), now, &rng);
     if (!block.ok() || !bc.SubmitBlock(*block, now).ok()) return false;
-    if (twin != nullptr && !twin->SubmitBlock(*block, now).ok()) return false;
     for (const chain::Transaction& tx : block->txs) {
       fixture.tx_ids.push_back(tx.Id());
     }
@@ -146,50 +143,6 @@ ChainFixture BuildChain(const CellConfig& cell, int chain_seq,
   return fixture;
 }
 
-/// The sharded chain and the oracle twin must answer every ledger query
-/// identically. Returns false (and reports) on any divergence.
-bool CheckEquivalence(const ChainFixture& fixture,
-                      const chain::Blockchain& oracle) {
-  const chain::Blockchain& sharded = *fixture.chain;
-  auto fail = [](const char* what) {
-    std::fprintf(stderr, "multichain equivalence: %s diverged\n", what);
-    return false;
-  };
-  if (sharded.head()->hash != oracle.head()->hash) return fail("head hash");
-  if (sharded.block_count() != oracle.block_count()) {
-    return fail("block count");
-  }
-  if (sharded.index().EntryCount() != oracle.index().EntryCount()) {
-    return fail("entry count");
-  }
-  for (const crypto::Hash256& tx_id : fixture.tx_ids) {
-    const auto a = sharded.FindTx(tx_id);
-    const auto b = oracle.FindTx(tx_id);
-    if (a.has_value() != b.has_value()) return fail("FindTx presence");
-    if (a.has_value() &&
-        (a->entry->hash != b->entry->hash || a->index != b->index)) {
-      return fail("FindTx location");
-    }
-    if (sharded.index().OccurrencesOf(tx_id).size() !=
-        oracle.index().OccurrencesOf(tx_id).size()) {
-      return fail("occurrence list");
-    }
-  }
-  for (bool require_success : {false, true}) {
-    const auto a = sharded.FindCall(fixture.contract_id,
-                                    contracts::kRedeemFunction,
-                                    require_success);
-    const auto b = oracle.FindCall(fixture.contract_id,
-                                   contracts::kRedeemFunction,
-                                   require_success);
-    if (a.has_value() != b.has_value()) return fail("FindCall presence");
-    if (a.has_value() && a->entry->hash != b->entry->hash) {
-      return fail("FindCall entry");
-    }
-  }
-  return true;
-}
-
 struct CellRun {
   CellConfig config;
   // Deterministic.
@@ -205,44 +158,15 @@ struct CellRun {
   double ns_per_lookup = 0;
 };
 
-CellRun RunCell(const CellConfig& cell, uint64_t lookup_ops,
-                bool check_equivalence, bool* equivalence_ok) {
+CellRun RunCell(const CellConfig& cell, uint64_t lookup_ops) {
   CellRun run;
   run.config = cell;
 
   const Clock::time_point build_t0 = Clock::now();
-  // The oracle twin shadows chain 0 of the cell when requested: a
-  // single-map ChainIndex fed the identical block stream.
-  std::unique_ptr<chain::Blockchain> oracle;
   std::vector<ChainFixture> fleet;
   fleet.reserve(static_cast<size_t>(cell.chains));
-  for (int c = 0; c < cell.chains; ++c) {
-    chain::Blockchain* twin = nullptr;
-    if (check_equivalence && c == 0) {
-      chain::ChainParams params = chain::TestChainParams();
-      params.id = 1;
-      params.difficulty_bits = 2;
-      params.max_block_txs = 64;
-      std::vector<chain::TxOutput> allocations;
-      for (int a = 0; a < cell.accounts; ++a) {
-        allocations.push_back(chain::TxOutput{
-            1'000'000,
-            crypto::KeyPair::FromSeed(100'000 + static_cast<uint64_t>(a))
-                .public_key()});
-      }
-      chain::ChainIndex::Options oracle_options;
-      oracle_options.oracle = true;
-      oracle = std::make_unique<chain::Blockchain>(params, allocations,
-                                                   oracle_options);
-      twin = oracle.get();
-    }
-    fleet.push_back(BuildChain(cell, c, twin));
-  }
+  for (int c = 0; c < cell.chains; ++c) fleet.push_back(BuildChain(cell, c));
   run.build_ms = ElapsedMs(build_t0);
-
-  if (oracle != nullptr) {
-    *equivalence_ok = CheckEquivalence(fleet[0], *oracle) && *equivalence_ok;
-  }
 
   // Deterministic cell witnesses.
   Bytes head_bytes;
@@ -329,25 +253,22 @@ int main(int argc, char** argv) {
 
   // The committed envelope declares this ceiling; check_bench_floor.py
   // asserts a fresh run's measured wall.peak_rss_bytes stays under the
-  // *committed* results.rss_ceiling_bytes.
-  constexpr uint64_t kRssCeilingBytes = 1536ull * 1024 * 1024;
+  // *committed* results.rss_ceiling_bytes. A full run peaks near 20 MiB;
+  // the ceiling fails a return of per-chain index preallocation, which
+  // once put a full run past 400 MiB.
+  constexpr uint64_t kRssCeilingBytes = 128ull * 1024 * 1024;
 
   benchutil::PrintHeader(
       "Many-chain world state — sustained ledger-query ops/sec and peak RSS\n"
-      "across a chains x accounts grid (sharded ChainIndex vs oracle "
-      "self-check)");
+      "across a chains x accounts grid");
 
   std::printf("%7s | %8s | %9s | %9s | %12s | %10s\n", "chains", "accounts",
               "blocks", "build ms", "lookup ops/s", "ns/lookup");
   benchutil::PrintRule(72);
 
-  bool equivalence_ok = true;
   std::vector<CellRun> runs;
-  for (size_t i = 0; i < grid.size(); ++i) {
-    // The oracle probe rides on the first (smallest) cell only: the index
-    // semantics don't vary with fleet size, the fleet does.
-    CellRun run = RunCell(grid[i], lookup_ops, /*check_equivalence=*/i == 0,
-                          &equivalence_ok);
+  for (const CellConfig& cell : grid) {
+    CellRun run = RunCell(cell, lookup_ops);
     std::printf("%7d | %8d | %9llu | %9.1f | %12.0f | %10.1f\n",
                 run.config.chains, run.config.accounts,
                 static_cast<unsigned long long>(run.total_blocks),
@@ -355,18 +276,10 @@ int main(int argc, char** argv) {
     runs.push_back(std::move(run));
   }
   const size_t peak_rss = benchutil::ReadPeakRssBytes();
-  std::printf("\npeak RSS %.1f MiB (declared ceiling %.0f MiB) — "
-              "sharded vs oracle: %s\n",
+  std::printf("\npeak RSS %.1f MiB (declared ceiling %.0f MiB)\n",
               static_cast<double>(peak_rss) / (1024.0 * 1024.0),
-              static_cast<double>(kRssCeilingBytes) / (1024.0 * 1024.0),
-              equivalence_ok ? "identical" : "DIVERGED");
+              static_cast<double>(kRssCeilingBytes) / (1024.0 * 1024.0));
 
-  if (!equivalence_ok) {
-    std::fprintf(stderr,
-                 "multichain: sharded index diverged from the single-map "
-                 "oracle\n");
-    return 1;
-  }
   if (peak_rss > kRssCeilingBytes) {
     std::fprintf(stderr,
                  "multichain: peak RSS %zu exceeds the declared ceiling "
@@ -402,8 +315,6 @@ int main(int argc, char** argv) {
 
   runner::Json results = runner::Json::Object();
   results.Set("cells", std::move(cells));
-  results.Set("equivalence_checked", true);
-  results.Set("equivalence_ok", equivalence_ok);
   results.Set("rss_ceiling_bytes", kRssCeilingBytes);
 
   runner::Json wall = runner::Json::Object();

@@ -11,6 +11,7 @@
 
 #include "bench/bench_util.h"
 #include "src/runner/bench_output.h"
+#include "src/runner/sweep_runner.h"
 #include "src/analysis/cost_model.h"
 
 namespace ac3 {
@@ -26,7 +27,7 @@ chain::Amount MeasuredHerlihyFee(int n, uint64_t seed) {
   options.seed = seed;
   core::ScenarioWorld world(options);
   world.StartMining();
-  graph::Ac2tGraph ring = benchutil::MakeRingOverWorld(&world, n);
+  graph::Ac2tGraph ring = runner::RingOverWorld(&world, n);
   protocols::HerlihySwapEngine engine(world.env(), ring,
                                       world.all_participants(),
                                       benchutil::FastHtlcConfig());
@@ -45,7 +46,7 @@ chain::Amount MeasuredAc3wnFee(int n, uint64_t seed) {
   options.witness_params.call_fee = options.asset_params.call_fee;
   core::ScenarioWorld world(options);
   world.StartMining();
-  graph::Ac2tGraph ring = benchutil::MakeRingOverWorld(&world, n);
+  graph::Ac2tGraph ring = runner::RingOverWorld(&world, n);
   protocols::Ac3wnSwapEngine engine(world.env(), ring,
                                     world.all_participants(),
                                     world.witness_chain(),

@@ -234,14 +234,6 @@ inline protocols::HtlcConfig FastHtlcConfig() {
   return config;
 }
 
-/// A directed ring over the world's participants (diameter = size) — the
-/// same topology the sweep runner builds, so timeline benches and sweeps
-/// agree by construction.
-inline graph::Ac2tGraph MakeRingOverWorld(core::ScenarioWorld* world, int n,
-                                          chain::Amount amount = 100) {
-  return runner::RingOverWorld(world, n, amount);
-}
-
 /// VmHWM from /proc/self/status, in bytes (0 if unavailable — non-Linux).
 inline size_t ReadPeakRssBytes() {
   std::ifstream in("/proc/self/status");

@@ -30,7 +30,10 @@ The many-chain world-state envelope has its own mode:
     the ceiling the *committed* envelope declares
     (results.rss_ceiling_bytes), so a smoke run on a CI runner is held to
     the same absolute budget the full run promised.
-  * the fresh sharded-vs-oracle equivalence verdict must be true.
+
+  The index's query answers are checked by tests/chain_index_test.cc
+  against a head-to-genesis walk; the envelope carries no verdict of its
+  own.
 
 The commit-study envelope has its own mode:
 
@@ -143,13 +146,7 @@ def check_multichain(argv):
         f"multichain peak RSS: fresh {peak} vs declared ceiling {ceiling} "
         f"-> {'OK' if rss_ok else 'REGRESSION'}"
     )
-
-    equiv_ok = bool(fresh["results"].get("equivalence_ok"))
-    print(
-        "multichain sharded-vs-oracle: "
-        f"{'identical' if equiv_ok else 'DIVERGED'}"
-    )
-    return 0 if ops_ok and rss_ok and equiv_ok else 1
+    return 0 if ops_ok and rss_ok else 1
 
 
 def check_commit_study(argv):

@@ -29,11 +29,7 @@ class Blockchain {
  public:
   /// Creates the chain with a genesis block materializing `allocations`
   /// (initial asset owners, e.g. experiment participants' funding).
-  /// `index_options` tunes the ChainIndex backing storage (shard count,
-  /// oracle mode) — the default fits a production chain; equivalence
-  /// harnesses drive a second chain in oracle mode.
-  Blockchain(ChainParams params, std::vector<TxOutput> allocations,
-             ChainIndex::Options index_options = {});
+  Blockchain(ChainParams params, std::vector<TxOutput> allocations);
 
   const ChainParams& params() const { return params_; }
   ChainId id() const { return params_.id; }
@@ -57,7 +53,7 @@ class Blockchain {
   /// index internals — there is no raw map accessor.
   const ChainIndex& index() const { return index_; }
   /// Visits every stored (hash, entry) — all forks, genesis included — in
-  /// ChainIndex's deterministic order. Shorthand for index().ForEachEntry.
+  /// an unspecified order. Shorthand for index().ForEachEntry.
   template <typename Fn>
   void ForEachEntry(Fn&& fn) const {
     index_.ForEachEntry(fn);

@@ -169,7 +169,6 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
       ctx.sender = tx.signer;
       ctx.value = tx.contract_value;
       ctx.block_time = env.time;
-      ctx.block_height = env.height;
       auto deployed = contracts::ContractFactory::Instance().Deploy(
           tx.contract_kind, tx.payload, ctx);
       if (!deployed.ok()) {
@@ -201,7 +200,6 @@ Result<Receipt> ApplyTransaction(LedgerState* state, const Transaction& tx,
       ctx.tx_id = tx_id;
       ctx.sender = tx.signer;
       ctx.block_time = env.time;
-      ctx.block_height = env.height;
       ctx.payouts = &payouts;
 
       receipt.contract_id = tx.contract_id;

@@ -82,6 +82,9 @@ Result<Transaction> Transaction::Decode(const Bytes& encoded) {
   AC3_ASSIGN_OR_RETURN(tx.payload, r.GetBytes());
   AC3_ASSIGN_OR_RETURN(tx.contract_value, r.GetU64());
   AC3_ASSIGN_OR_RETURN(tx.signature, crypto::Signature::Decode(&r));
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after transaction");
+  }
   return tx;
 }
 

@@ -44,7 +44,6 @@ struct DeployContext {
   crypto::PublicKey sender;     ///< msg.sender.
   chain::Amount value = 0;      ///< msg.value (locked in the contract).
   TimePoint block_time = 0;
-  uint64_t block_height = 0;
 };
 
 /// Implicit parameters of a function-call message.
@@ -53,7 +52,6 @@ struct CallContext {
   crypto::Hash256 tx_id;
   crypto::PublicKey sender;  ///< msg.sender.
   TimePoint block_time = 0;
-  uint64_t block_height = 0;
   /// Out-parameter: transfers ordered by the executed function.
   std::vector<Payout>* payouts = nullptr;
 };

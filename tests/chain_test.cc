@@ -98,6 +98,104 @@ TEST(BlockTest, HeaderRoundTrip) {
   EXPECT_EQ(decoded->Hash(), h.Hash());
 }
 
+// ------------------------------------------------- untrusted-bytes decoders
+
+// Transactions, receipts and headers reach contracts inside evidence
+// payloads built by untrusted callers. `decode` maps bytes to a Result of
+// a type with Encode(). Every strict prefix of the valid encoding `wire`
+// must be rejected; seeded random byte flips must never crash the
+// decoder; and whatever it accepts must be the canonical encoding of what
+// it decoded (re-encoding gives back the same bytes, which decode again).
+template <typename DecodeFn>
+void ExpectDecoderSurvivesMutation(const char* what, const Bytes& wire,
+                                   DecodeFn decode, uint64_t seed) {
+  for (size_t len = 0; len < wire.size(); ++len) {
+    const Bytes cut(wire.begin(), wire.begin() + static_cast<long>(len));
+    EXPECT_FALSE(decode(cut).ok())
+        << what << " accepted prefix of " << len << "/" << wire.size()
+        << " bytes";
+  }
+  Rng rng(seed);
+  size_t accepted = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    Bytes mutated = wire;
+    const uint64_t flips = 1 + rng.NextBelow(4);
+    for (uint64_t f = 0; f < flips; ++f) {
+      mutated[rng.NextBelow(mutated.size())] ^=
+          static_cast<uint8_t>(1 + rng.NextBelow(255));
+    }
+    auto decoded = decode(mutated);
+    if (!decoded.ok()) continue;
+    ++accepted;
+    const Bytes reencoded = decoded->Encode();
+    EXPECT_TRUE(reencoded == mutated)
+        << what << " accepted a non-canonical encoding in trial " << trial;
+    auto again = decode(reencoded);
+    ASSERT_TRUE(again.ok()) << what << " rejected its own re-encoding";
+    EXPECT_TRUE(again->Encode() == reencoded) << what << " trial " << trial;
+  }
+  EXPECT_GT(accepted, 0u) << what << ": no mutation ever decoded";
+}
+
+TEST(DecoderMutationTest, Transaction) {
+  Transaction tx;
+  tx.type = TxType::kCall;
+  tx.chain_id = 7;
+  tx.inputs.push_back(OutPoint{crypto::Hash256::OfString("in0"), 0});
+  tx.inputs.push_back(OutPoint{crypto::Hash256::OfString("in1"), 3});
+  tx.outputs.push_back(TxOutput{25, Alice().public_key()});
+  tx.outputs.push_back(TxOutput{9, Bob().public_key()});
+  tx.fee = 2;
+  tx.nonce = 99;
+  tx.contract_kind = "htlc";
+  tx.contract_id = crypto::Hash256::OfString("contract");
+  tx.function = "redeem";
+  tx.payload = Bytes{4, 8, 15, 16, 23, 42};
+  tx.contract_value = 500;
+  tx.SignWith(Bob());
+  ExpectDecoderSurvivesMutation("Transaction", tx.Encode(),
+                                &Transaction::Decode, 0x7a11);
+  Bytes trailing = tx.Encode();
+  trailing.push_back(0);
+  EXPECT_FALSE(Transaction::Decode(trailing).ok());
+}
+
+TEST(DecoderMutationTest, Receipt) {
+  Receipt receipt;
+  receipt.tx_id = crypto::Hash256::OfString("tx");
+  receipt.success = false;
+  receipt.contract_id = crypto::Hash256::OfString("contract");
+  receipt.state_digest = Bytes{1, 2, 3, 4, 5};
+  receipt.note = "reverted: IsRedeemable rejected the secret";
+  ExpectDecoderSurvivesMutation("Receipt", receipt.Encode(), &Receipt::Decode,
+                                0x4ec1);
+  Bytes trailing = receipt.Encode();
+  trailing.push_back(0);
+  EXPECT_FALSE(Receipt::Decode(trailing).ok());
+  Bytes flag = receipt.Encode();
+  flag[crypto::Hash256::kSize] = 2;  // The success byte follows tx_id.
+  EXPECT_FALSE(Receipt::Decode(flag).ok());
+}
+
+TEST(DecoderMutationTest, BlockHeader) {
+  BlockHeader h;
+  h.chain_id = 2;
+  h.height = 5;
+  h.prev_hash = crypto::Hash256::OfString("parent");
+  h.tx_root = crypto::Hash256::OfString("txroot");
+  h.receipt_root = crypto::Hash256::OfString("rcroot");
+  h.time = 1234;
+  h.difficulty_bits = 8;
+  h.nonce = 42;
+  ExpectDecoderSurvivesMutation(
+      "BlockHeader", h.Encode(),
+      [](const Bytes& bytes) {
+        ByteReader reader(bytes);
+        return BlockHeader::Decode(&reader);
+      },
+      0xb10c);
+}
+
 TEST(PowTest, DifficultyZeroAlwaysPasses) {
   EXPECT_TRUE(HashMeetsDifficulty(crypto::Hash256::OfString("x"), 0));
 }

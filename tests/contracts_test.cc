@@ -27,7 +27,6 @@ DeployContext MakeDeployCtx(chain::Amount value) {
   ctx.sender = kAlice.public_key();
   ctx.value = value;
   ctx.block_time = 100;
-  ctx.block_height = 1;
   return ctx;
 }
 
@@ -39,7 +38,6 @@ struct CallEnv {
     ctx.tx_id = crypto::Hash256::Of(Bytes{9});
     ctx.sender = kBob.public_key();
     ctx.block_time = block_time;
-    ctx.block_height = 2;
     ctx.payouts = &payouts;
   }
 };
