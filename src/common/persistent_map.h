@@ -28,41 +28,34 @@
 // snapshots taken before the mutation remain valid and unchanged (that is
 // the point).
 //
-// Allocation and threads: nodes carry an intrusive reference count and
-// live in NodePool slabs (src/common/arena.h) instead of shared_ptr
-// control blocks, so a clone costs a free-list pop rather than a malloc of
-// node + control block. The count is atomic so that snapshots may share
-// structure across threads (PersistentMapTest's concurrent-sibling case
-// copies and mutates sibling snapshots on four threads at once; the
-// sweep's worker pool builds each world inside one task, so no simulator
-// path shares nodes across threads). Increments are relaxed (publication of
-// the nodes themselves happens-before any handoff); decrements are
-// acq_rel. The uniqueness test is an acquire load: when it reads 1, the
-// only reference is this handle's, and the acquire pairs with the release
-// of every other thread's last reference, so their reads of the node
-// happen-before the in-place write.
+// Allocation and threads: nodes carry a plain intrusive reference count
+// and are allocated with new/delete, so a clone is one allocation with no
+// shared_ptr control block. The count is not atomic, which gives the
+// threading contract: a map and every copy that shares nodes with it
+// belong to one thread at a time. Handing the whole family to another
+// thread across a synchronization point (a thread join, a task boundary)
+// is fine; copying, mutating or destroying two members of one family on
+// two threads at once is a data race on the shared counts. The sweep's
+// worker pool builds and destroys each world inside one task, so no
+// simulator path shares nodes across threads.
 
 #ifndef AC3_COMMON_PERSISTENT_MAP_H_
 #define AC3_COMMON_PERSISTENT_MAP_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "src/common/arena.h"
-
 /// Core utilities shared by every module (the dependency root).
 namespace ac3 {
 
 /// Copy-on-write ordered map (Adams weight-balanced tree): O(1) snapshot
 /// copies, O(log n) writes that mutate unshared nodes in place and clone
-/// shared ones, std::map-identical key-order iteration. Nodes are
-/// pool-allocated with intrusive atomic refcounts, so snapshots may be
-/// copied, mutated, and released concurrently on different threads as long
-/// as each *handle* is used by one thread at a time.
+/// shared ones, std::map-identical key-order iteration. Nodes carry
+/// non-atomic intrusive refcounts: a map and every copy sharing nodes
+/// with it belong to one thread at a time (see the file comment).
 template <typename K, typename V>
 class PersistentMap {
  private:
@@ -221,23 +214,20 @@ class PersistentMap {
     Ptr right;
     size_t size;
     /// Intrusive count; starts at 1 for the reference Make() returns.
-    std::atomic<uint32_t> refs{1};
+    uint32_t refs = 1;
   };
 
-  /// Intrusive shared reference to a pool-resident Node — the
-  /// shared_ptr<Node> subset the tree needs, minus the control block, weak
-  /// count, and per-node malloc. Readers get const access; writers go
-  /// through Unique(), which hands out a mutable node only when this
-  /// reference is its sole owner.
+  /// Intrusive shared reference to a Node — the shared_ptr<Node> subset
+  /// the tree needs, minus the control block and weak count. Readers get
+  /// const access; writers go through Unique(), which hands out a mutable
+  /// node only when this reference is its sole owner.
   class NodeRef {
    public:
     NodeRef() = default;
     NodeRef(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
     NodeRef(const NodeRef& other) : node_(other.node_) {
-      if (node_ != nullptr) {
-        node_->refs.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (node_ != nullptr) ++node_->refs;
     }
     NodeRef(NodeRef&& other) noexcept : node_(other.node_) {
       other.node_ = nullptr;
@@ -274,21 +264,16 @@ class PersistentMap {
     }
 
     /// True when this is the only reference to the (non-null) node.
-    bool IsUnique() const {
-      return node_->refs.load(std::memory_order_acquire) == 1;
-    }
+    bool IsUnique() const { return node_->refs == 1; }
     /// Mutable access; only valid while IsUnique().
     Node* mutable_get() const { return node_; }
 
    private:
     static void Release(Node* node) {
       if (node == nullptr) return;
-      if (node->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Destroying the node releases its children in turn; recursion
-        // depth is bounded by the (balanced) tree height.
-        node->~Node();
-        NodePool<Node>::Deallocate(node);
-      }
+      // Destroying the node releases its children in turn; recursion
+      // depth is bounded by the (balanced) tree height.
+      if (--node->refs == 0) delete node;
     }
 
     Node* node_ = nullptr;
@@ -301,8 +286,8 @@ class PersistentMap {
 
   static Ptr Make(Ptr left, const K& key, V value, Ptr right) {
     const size_t size = 1 + Size(left) + Size(right);
-    return NodeRef::Adopt(new (NodePool<Node>::Allocate()) Node(
-        key, std::move(value), std::move(left), std::move(right), size));
+    return NodeRef::Adopt(new Node(key, std::move(value), std::move(left),
+                                   std::move(right), size));
   }
 
   /// The node in `slot` (non-null), made exclusively this handle's: a

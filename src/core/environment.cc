@@ -38,7 +38,8 @@ void PruneIncludedOnHeadMove(const chain::Blockchain* chain,
   }
   pool->Prune(included);
   // Disconnected (reorged-out) blocks: anything not re-included on the
-  // winning branch goes back into the pool at its original arrival time.
+  // winning branch goes back into the pool. Its own arrival was forgotten
+  // when it was pruned, so it returns at the arrival of its block.
   for (const chain::BlockEntry* walk = &old_head; walk != fork;
        walk = walk->parent) {
     for (const chain::Transaction& tx : walk->block.txs) {

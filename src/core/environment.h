@@ -9,10 +9,10 @@
 // Mempool hygiene is event-driven: every chain's mempool is subscribed to
 // its blockchain's canonical-head movements, so transactions included on
 // the canonical branch are pruned in one batch per head move (extension or
-// reorg) instead of by ad-hoc calls. Transactions reorged *off* the
-// canonical branch are not re-queued — protocol engines re-gossip their
-// own unconfirmed transactions, which is the at-least-once submission
-// model the simulator already assumes.
+// reorg) instead of by ad-hoc calls. On a reorg, user transactions of the
+// disconnected blocks that the winning branch lacks are re-queued (the
+// "disconnect pool" of real nodes), so they are mined again rather than
+// lost.
 
 #ifndef AC3_CORE_ENVIRONMENT_H_
 #define AC3_CORE_ENVIRONMENT_H_

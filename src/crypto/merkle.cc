@@ -34,7 +34,8 @@ Result<MerkleStep> MerkleStep::Decode(ByteReader* reader) {
   std::copy(raw.begin(), raw.end(), arr.begin());
   step.sibling = Hash256(arr);
   AC3_ASSIGN_OR_RETURN(uint8_t side, reader->GetU8());
-  step.sibling_on_left = side != 0;
+  if (side > 1) return Status::InvalidArgument("merkle side not 0 or 1");
+  step.sibling_on_left = side == 1;
   return step;
 }
 
@@ -54,6 +55,9 @@ Result<MerkleProof> MerkleProof::Decode(const Bytes& encoded) {
   for (uint32_t i = 0; i < count; ++i) {
     AC3_ASSIGN_OR_RETURN(MerkleStep step, MerkleStep::Decode(&reader));
     proof.path.push_back(step);
+  }
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after merkle proof");
   }
   return proof;
 }

@@ -63,6 +63,9 @@ Result<Multisignature> Multisignature::Decode(const Bytes& encoded) {
     AC3_ASSIGN_OR_RETURN(part.signature, Signature::Decode(&reader));
     AC3_RETURN_IF_ERROR(ms.AddPart(std::move(part)));
   }
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after multisignature");
+  }
   return ms;
 }
 

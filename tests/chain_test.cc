@@ -26,6 +26,7 @@ namespace {
 // call sites ({} binds to both).
 const std::vector<Transaction> kNoCandidates;
 
+using testutil::ExpectDecoderSurvivesMutation;
 using testutil::Fund;
 using testutil::TestChain;
 
@@ -99,43 +100,6 @@ TEST(BlockTest, HeaderRoundTrip) {
 }
 
 // ------------------------------------------------- untrusted-bytes decoders
-
-// Transactions, receipts and headers reach contracts inside evidence
-// payloads built by untrusted callers. `decode` maps bytes to a Result of
-// a type with Encode(). Every strict prefix of the valid encoding `wire`
-// must be rejected; seeded random byte flips must never crash the
-// decoder; and whatever it accepts must be the canonical encoding of what
-// it decoded (re-encoding gives back the same bytes, which decode again).
-template <typename DecodeFn>
-void ExpectDecoderSurvivesMutation(const char* what, const Bytes& wire,
-                                   DecodeFn decode, uint64_t seed) {
-  for (size_t len = 0; len < wire.size(); ++len) {
-    const Bytes cut(wire.begin(), wire.begin() + static_cast<long>(len));
-    EXPECT_FALSE(decode(cut).ok())
-        << what << " accepted prefix of " << len << "/" << wire.size()
-        << " bytes";
-  }
-  Rng rng(seed);
-  size_t accepted = 0;
-  for (int trial = 0; trial < 4000; ++trial) {
-    Bytes mutated = wire;
-    const uint64_t flips = 1 + rng.NextBelow(4);
-    for (uint64_t f = 0; f < flips; ++f) {
-      mutated[rng.NextBelow(mutated.size())] ^=
-          static_cast<uint8_t>(1 + rng.NextBelow(255));
-    }
-    auto decoded = decode(mutated);
-    if (!decoded.ok()) continue;
-    ++accepted;
-    const Bytes reencoded = decoded->Encode();
-    EXPECT_TRUE(reencoded == mutated)
-        << what << " accepted a non-canonical encoding in trial " << trial;
-    auto again = decode(reencoded);
-    ASSERT_TRUE(again.ok()) << what << " rejected its own re-encoding";
-    EXPECT_TRUE(again->Encode() == reencoded) << what << " trial " << trial;
-  }
-  EXPECT_GT(accepted, 0u) << what << ": no mutation ever decoded";
-}
 
 TEST(DecoderMutationTest, Transaction) {
   Transaction tx;

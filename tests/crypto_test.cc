@@ -16,6 +16,7 @@
 #include "src/crypto/schnorr.h"
 #include "src/crypto/sha256.h"
 #include "tests/dispatch_test_util.h"
+#include "tests/test_util.h"
 
 namespace ac3::crypto {
 namespace {
@@ -536,6 +537,44 @@ TEST(MerkleTest, TamperedProofStepFails) {
   MerkleProof bad = *proof;
   bad.path[1].sibling = Hash256::OfString("evil");
   EXPECT_FALSE(VerifyMerkleProof(leaves[9], bad, tree.root()));
+}
+
+// ------------------------------------------------- untrusted-bytes decoders
+
+using ::ac3::testutil::ExpectDecoderSurvivesMutation;
+
+TEST(DecoderMutationTest, MerkleProof) {
+  MerkleTree tree(MakeLeaves(13));
+  auto proof = tree.Prove(6);
+  ASSERT_TRUE(proof.ok());
+  ASSERT_EQ(proof->path.size(), 4u);
+  const Bytes wire = proof->Encode();
+  ExpectDecoderSurvivesMutation("MerkleProof", wire, &MerkleProof::Decode,
+                                0x3e4c);
+  Bytes trailing = wire;
+  trailing.push_back(0);
+  EXPECT_FALSE(MerkleProof::Decode(trailing).ok());
+  Bytes side = wire;
+  side[8 + Hash256::kSize] = 2;  // First step's side byte, after its sibling.
+  EXPECT_FALSE(MerkleProof::Decode(side).ok());
+}
+
+TEST(DecoderMutationTest, Multisignature) {
+  Multisignature ms(StrBytes("graph D at timestamp t"));
+  for (uint64_t seed : {20, 21, 22}) {
+    ASSERT_TRUE(ms.AddSignature(KeyPair::FromSeed(seed)).ok());
+  }
+  // Every part is verified against the message, so a flip anywhere but in
+  // the framing fails a signature and no mutation is expected to decode;
+  // in particular a lowered part count must not decode by leaving the
+  // tail parts unread.
+  const Bytes wire = ms.Encode();
+  ExpectDecoderSurvivesMutation("Multisignature", wire,
+                                &Multisignature::Decode, 0x5167,
+                                /*expect_accepts=*/false);
+  Bytes trailing = wire;
+  trailing.push_back(0);
+  EXPECT_FALSE(Multisignature::Decode(trailing).ok());
 }
 
 // ---------------------------------------------------------------- commitments

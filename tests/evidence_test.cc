@@ -151,6 +151,37 @@ TEST_F(EvidenceTest, EvidenceRoundTripsThroughEncoding) {
                   .ok());
 }
 
+// Evidence reaches the relay, witness and permissionless contracts as
+// caller-built bytes, so its decoder runs the shared mutation check.
+class DecoderMutationTest : public EvidenceTest {};
+
+TEST_F(DecoderMutationTest, HeaderChainEvidence) {
+  auto transfer = alice_asset_.BuildTransfer(asset_.chain().StateAtHead(),
+                                             kBob.public_key(), 10, 1, 1);
+  ASSERT_TRUE(transfer.ok());
+  ASSERT_TRUE(asset_.MineTxToDepth(*transfer, 2).ok());
+  auto evidence = BuildTxEvidence(
+      asset_.chain(), asset_.chain().genesis()->hash, transfer->Id());
+  ASSERT_TRUE(evidence.ok());
+  const Bytes wire = evidence->Encode();
+  testutil::ExpectDecoderSurvivesMutation(
+      "HeaderChainEvidence", wire, &HeaderChainEvidence::Decode, 0xe71d);
+  Bytes trailing = wire;
+  trailing.push_back(0);
+  EXPECT_FALSE(HeaderChainEvidence::Decode(trailing).ok());
+  // The leaf flag follows the header count, the length-prefixed headers
+  // and the target index.
+  size_t flag_at = 4;
+  for (const chain::BlockHeader& header : evidence->headers) {
+    flag_at += 4 + header.Encode().size();
+  }
+  flag_at += 4;
+  ASSERT_EQ(wire[flag_at], 0);  // A transaction leaf.
+  Bytes flag = wire;
+  flag[flag_at] = 2;
+  EXPECT_FALSE(HeaderChainEvidence::Decode(flag).ok());
+}
+
 TEST_F(EvidenceTest, InsufficientConfirmationsRejected) {
   auto transfer = alice_asset_.BuildTransfer(asset_.chain().StateAtHead(),
                                              kBob.public_key(), 10, 1, 1);

@@ -1,13 +1,14 @@
 // Unit tests for the engine hot-path machinery introduced by the perf
 // overhaul: the midstate PoW hasher, the persistent (copy-on-write)
-// ledger maps, skip-pointer ancestry / branch membership, the incremental
-// visible-head tracker, and the indexed mempool. Each test checks the fast
+// ledger maps and their node lifetimes, skip-pointer ancestry / branch
+// membership, the incremental visible-head tracker, and the indexed
+// mempool. Each test checks the fast
 // path against the straightforward reference computation.
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <thread>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -397,52 +398,106 @@ TEST(PersistentMapTest, WeightBalancedUnderSequentialAndRandomWrites) {
   EXPECT_TRUE(map.CheckInvariants());
 }
 
-TEST(PersistentMapTest, ConcurrentSiblingSnapshotsStayIndependent) {
-  // Four threads each take sibling copies of one base and write to them:
-  // the first write on each copy clones the shared path, later writes run
-  // in place on thread-owned nodes while the other threads still read and
-  // clone the shared ones. Race-checked under the tsan job.
-  PersistentMap<uint64_t, uint64_t> base;
-  std::map<uint64_t, uint64_t> base_model;
-  for (uint64_t i = 0; i < 3000; ++i) {
-    base.Put(i * 3, i);
-    base_model[i * 3] = i;
+TEST(PersistentMapTest, SnapshotOutlivesOriginMap) {
+  PersistentMap<int, int> snapshot;
+  {
+    auto origin = std::make_unique<PersistentMap<int, int>>();
+    for (int i = 0; i < 500; ++i) origin->Put(i, i * 3);
+    snapshot = *origin;  // Shares every node with `origin`.
+    origin->Erase(123);  // Diverge a little before dying.
+  }                      // `origin` destroyed; snapshot keeps the nodes alive.
+  ASSERT_EQ(snapshot.size(), 500u);
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_NE(snapshot.Find(i), nullptr) << i;
+    EXPECT_EQ(*snapshot.Find(i), i * 3);
   }
-  constexpr int kThreads = 4;
-  std::vector<std::thread> workers;
-  std::vector<char> ok(kThreads, 0);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      Rng rng(1000 + static_cast<uint64_t>(t));
-      bool good = true;
-      for (int round = 0; round < 20; ++round) {
-        PersistentMap<uint64_t, uint64_t> mine = base;
-        std::map<uint64_t, uint64_t> model = base_model;
-        PersistentMap<uint64_t, uint64_t> mid;
-        std::map<uint64_t, uint64_t> mid_model;
-        for (int op = 0; op < 600; ++op) {
-          const uint64_t key = rng.NextU64() % 9500;
-          if (rng.NextU64() % 3 == 0) {
-            good = good && mine.Erase(key) == (model.erase(key) > 0);
-          } else {
-            mine.Put(key, key + static_cast<uint64_t>(t));
-            model[key] = key + static_cast<uint64_t>(t);
-          }
-          if (op == 300) {
-            mid = mine;
-            mid_model = model;
-          }
-        }
-        good = good && SameAsModel(mine, model) && SameAsModel(mid, mid_model);
-      }
-      ok[static_cast<size_t>(t)] = good ? 1 : 0;
-    });
+}
+
+TEST(PersistentMapTest, InterleavedSnapshotMutateChurn) {
+  // Rolling snapshots + mutations: every round releases an old snapshot's
+  // references (freeing the nodes only it held) while path-copying new
+  // ones. A stale pointer or double free here is what the sanitizer build
+  // catches byte-accurately.
+  constexpr int kRounds = 2000;
+  constexpr int kSnapshots = 7;
+  PersistentMap<uint64_t, uint64_t> live;
+  std::map<uint64_t, uint64_t> reference;
+  std::vector<PersistentMap<uint64_t, uint64_t>> ring(kSnapshots);
+  std::vector<std::map<uint64_t, uint64_t>> ring_reference(kSnapshots);
+  Rng rng(90210);
+  for (int round = 0; round < kRounds; ++round) {
+    const uint64_t key = rng.NextU64() % 193;
+    if (rng.NextU64() % 4 == 0) {
+      live.Erase(key);
+      reference.erase(key);
+    } else {
+      const uint64_t value = rng.NextU64();
+      live.Put(key, value);
+      reference[key] = value;
+    }
+    const size_t slot = static_cast<size_t>(round) % kSnapshots;
+    ring[slot] = live;  // Overwrite releases the oldest snapshot's nodes.
+    ring_reference[slot] = reference;
   }
-  for (std::thread& worker : workers) worker.join();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_TRUE(ok[static_cast<size_t>(t)]) << "thread " << t;
+  for (size_t s = 0; s < kSnapshots; ++s) {
+    EXPECT_TRUE(SameAsModel(ring[s], ring_reference[s])) << "snapshot " << s;
   }
-  EXPECT_TRUE(SameAsModel(base, base_model));
+}
+
+/// A map value that counts its live instances, so a leaked node or a
+/// value destroyed twice shows up as a wrong count in any build.
+struct CountedValue {
+  static inline int live = 0;
+  explicit CountedValue(int v) : value(v) { ++live; }
+  CountedValue(const CountedValue& other) : value(other.value) { ++live; }
+  CountedValue& operator=(const CountedValue&) = default;
+  ~CountedValue() { --live; }
+  int value;
+};
+
+TEST(PersistentMapTest, ValuesDestroyedExactlyOnce) {
+  using CountedMap = PersistentMap<int, CountedValue>;
+  ASSERT_EQ(CountedValue::live, 0);
+  {
+    // Three maps in one family: `b` copies `a`, `c` copies `b`, and each
+    // diverges. While nodes are shared, every value is held once per
+    // distinct node, so the count lies between the largest map and the
+    // sum of all three.
+    auto a = std::make_unique<CountedMap>();
+    for (int i = 0; i < 300; ++i) a->Put(i, CountedValue(i));
+    EXPECT_EQ(CountedValue::live, 300);
+    auto b = std::make_unique<CountedMap>(*a);
+    EXPECT_EQ(CountedValue::live, 300);  // A copy shares, it allocates none.
+    for (int i = 0; i < 300; i += 3) b->Erase(i);
+    for (int i = 1000; i < 1050; ++i) b->Put(i, CountedValue(i));
+    b->Put(7, CountedValue(-7));  // Replaces a value in place or in a clone.
+    CountedMap c = *b;
+    for (int i = 1; i < 300; i += 5) c.Erase(i);
+    c.Put(2000, CountedValue(2000));
+    const size_t sum = a->size() + b->size() + c.size();
+    EXPECT_GE(CountedValue::live, static_cast<int>(b->size()));
+    EXPECT_LE(CountedValue::live, static_cast<int>(sum));
+
+    // Destroy out of creation order: the middle map, then the oldest. The
+    // survivor then owns every live node, one value each.
+    b.reset();
+    EXPECT_LE(CountedValue::live, static_cast<int>(a->size() + c.size()));
+    a.reset();
+    EXPECT_EQ(CountedValue::live, static_cast<int>(c.size()));
+    ASSERT_NE(c.Find(7), nullptr);
+    EXPECT_EQ(c.Find(7)->value, -7);
+    EXPECT_EQ(c.Find(2000)->value, 2000);
+
+    // Erasing everything from the last map frees every value while the
+    // (now empty) handle is still alive.
+    std::vector<int> keys;
+    for (const auto& [key, value] : c) keys.push_back(key);
+    for (int key : keys) EXPECT_TRUE(c.Erase(key));
+    EXPECT_TRUE(c.empty());
+    EXPECT_EQ(CountedValue::live, 0);
+    c.Put(1, CountedValue(1));
+  }
+  EXPECT_EQ(CountedValue::live, 0);
 }
 
 TEST(LedgerStateTest, CopyOnWriteSemantics) {

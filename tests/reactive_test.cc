@@ -196,6 +196,82 @@ TEST(MempoolAutoPruneTest, ReorgedOutTransactionsReturnToThePool) {
       << "a reorged-out transaction must return to the pool for re-mining";
 }
 
+TEST(MempoolAutoPruneTest, ReorgRequeuesOnlyTheLosingBranchAndItIsMinedAgain) {
+  auto keys = MakeKeys(3);
+  core::Environment env(/*seed=*/5);
+  chain::MiningConfig mining;
+  mining.miner_count = 1;
+  const chain::ChainId id =
+      env.AddChain(chain::TestChainParams(), Fund(Pks(keys), 1000), mining);
+  chain::Blockchain* chain = env.blockchain(id);
+  chain::Mempool* pool = env.mempool(id);
+  Rng rng(7);
+  const crypto::KeyPair miner = crypto::KeyPair::FromSeed(78);
+
+  // Two independent transfers: `dropped` will be reorged out, `kept` is
+  // also mined on the winning branch.
+  chain::Wallet wallet(keys[0], id);
+  chain::Wallet other(keys[2], id);
+  auto dropped = wallet.BuildTransfer(chain->StateAtHead(),
+                                      keys[1].public_key(), 10, 1, 1);
+  auto kept = other.BuildTransfer(chain->StateAtHead(), keys[1].public_key(),
+                                  20, 1, 1);
+  ASSERT_TRUE(dropped.ok());
+  ASSERT_TRUE(kept.ok());
+  ASSERT_TRUE(pool->Submit(*dropped, 40).ok());
+  ASSERT_TRUE(pool->Submit(*kept, 60).ok());
+
+  const crypto::Hash256 genesis = chain->genesis()->hash;
+  auto block_a = chain->AssembleBlock(genesis, {*dropped, *kept},
+                                      miner.public_key(), /*now=*/100, &rng);
+  ASSERT_TRUE(block_a.ok());
+  ASSERT_TRUE(chain->SubmitBlock(*block_a, 100).ok());
+  EXPECT_EQ(pool->size(), 0u);
+
+  // A heavier sibling branch carries `kept` but not `dropped`.
+  auto side_1 = chain->AssembleBlock(genesis, {*kept}, miner.public_key(),
+                                     101, &rng);
+  ASSERT_TRUE(side_1.ok());
+  ASSERT_EQ(side_1->txs.size(), 2u);  // Coinbase + `kept`.
+  ASSERT_TRUE(chain->SubmitBlock(*side_1, 101).ok());
+  auto side_2 = chain->AssembleBlock(side_1->header.Hash(), kNoCandidates,
+                                     miner.public_key(), 102, &rng);
+  ASSERT_TRUE(side_2.ok());
+  ASSERT_TRUE(chain->SubmitBlock(*side_2, 102).ok());
+  ASSERT_EQ(chain->head()->hash, side_2->header.Hash());
+
+  // Only the transaction missing from the winning branch comes back. The
+  // pool forgot its own arrival (40) when it was pruned, so it returns at
+  // the arrival time of the block it was disconnected from.
+  EXPECT_EQ(pool->size(), 1u);
+  EXPECT_TRUE(pool->Contains(dropped->Id()));
+  EXPECT_FALSE(pool->Contains(kept->Id()));
+  EXPECT_TRUE(pool->CandidatePointersAt(99, nullptr).empty());
+  const auto visible = pool->CandidatePointersAt(100, nullptr);
+  ASSERT_EQ(visible.size(), 1u);
+  EXPECT_EQ(visible[0]->Id(), dropped->Id());
+
+  // Until it is mined again its input stays reserved and its change output
+  // is gone, so the wallet cannot build a follow-up transfer.
+  auto blocked = wallet.BuildTransfer(chain->StateAtHead(),
+                                      keys[1].public_key(), 5, 1, 2);
+  EXPECT_FALSE(blocked.ok());
+
+  env.StartMining();
+  Status remined = env.sim()->RunUntilCondition(
+      [&]() { return chain->FindTx(dropped->Id()).has_value(); }, Minutes(5));
+  env.StopMining();
+  ASSERT_TRUE(remined.ok());
+  EXPECT_GT(chain->FindTx(dropped->Id())->entry->height(), 2u);
+  EXPECT_FALSE(pool->Contains(dropped->Id()));
+
+  // Re-mined, the change output exists again: the next transfer spends it
+  // without clearing the wallet's reservations.
+  auto next = wallet.BuildTransfer(chain->StateAtHead(), keys[1].public_key(),
+                                   5, 1, 2);
+  EXPECT_TRUE(next.ok()) << next.status();
+}
+
 // ---- the engine-level payoff: event counts --------------------------------
 
 TEST(ReactiveEngineTest, WaitingWorldExecutesFewerEventsThanPollingAlone) {

@@ -1,5 +1,6 @@
 // Shared test scaffolding: a hand-driven chain (no Poisson mining) so tests
-// control exactly which transactions land in which block.
+// control exactly which transactions land in which block, and the mutation
+// check every untrusted-bytes decoder runs under.
 
 #ifndef AC3_TESTS_TEST_UTIL_H_
 #define AC3_TESTS_TEST_UTIL_H_
@@ -7,6 +8,8 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "src/chain/blockchain.h"
 #include "src/chain/pow.h"
@@ -79,6 +82,49 @@ inline std::vector<chain::TxOutput> Fund(
     out.push_back(chain::TxOutput{each, pk});
   }
   return out;
+}
+
+/// Transactions, receipts, headers, Merkle proofs, multisignatures and
+/// header-chain evidence reach contracts as bytes built by untrusted
+/// callers. `decode` maps bytes to a Result of a type with Encode(). Every
+/// strict prefix of the valid encoding `wire` must be rejected; seeded
+/// random byte flips must never crash the decoder; and whatever it accepts
+/// must be the canonical encoding of what it decoded (re-encoding gives
+/// back the same bytes, which decode again). Unless `expect_accepts` is
+/// false (a decoder that verifies signatures over every byte it keeps),
+/// some mutation must decode, so the canonicality check is not vacuous.
+template <typename DecodeFn>
+void ExpectDecoderSurvivesMutation(const char* what, const Bytes& wire,
+                                   DecodeFn decode, uint64_t seed,
+                                   bool expect_accepts = true) {
+  for (size_t len = 0; len < wire.size(); ++len) {
+    const Bytes cut(wire.begin(), wire.begin() + static_cast<long>(len));
+    EXPECT_FALSE(decode(cut).ok())
+        << what << " accepted prefix of " << len << "/" << wire.size()
+        << " bytes";
+  }
+  Rng rng(seed);
+  size_t accepted = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    Bytes mutated = wire;
+    const uint64_t flips = 1 + rng.NextBelow(4);
+    for (uint64_t f = 0; f < flips; ++f) {
+      mutated[rng.NextBelow(mutated.size())] ^=
+          static_cast<uint8_t>(1 + rng.NextBelow(255));
+    }
+    auto decoded = decode(mutated);
+    if (!decoded.ok()) continue;
+    ++accepted;
+    const Bytes reencoded = decoded->Encode();
+    EXPECT_TRUE(reencoded == mutated)
+        << what << " accepted a non-canonical encoding in trial " << trial;
+    auto again = decode(reencoded);
+    ASSERT_TRUE(again.ok()) << what << " rejected its own re-encoding";
+    EXPECT_TRUE(again->Encode() == reencoded) << what << " trial " << trial;
+  }
+  if (expect_accepts) {
+    EXPECT_GT(accepted, 0u) << what << ": no mutation ever decoded";
+  }
 }
 
 /// Protocol-test world: an alias of the library's public scenario facade
